@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._rng import generator, trajectory_seed
-from .problem import RotamerProblem, encode
+from .driver import ensemble_cost
+from .problem import RotamerProblem, bits_to_string, encode, valid_mask
 from .qubo import QuboMatrix, build_qubo, default_penalty
 
 __all__ = [
@@ -137,13 +138,6 @@ class _TargetReached(Exception):
     pass
 
 
-def _one_per_block(bits: np.ndarray, problem: RotamerProblem) -> bool:
-    return all(
-        int(bits[problem.block_slice(i)].sum()) == 1
-        for i in range(problem.num_residues)
-    )
-
-
 class _CountingObjective:
     """Rounds to bits, evaluates the penalized QUBO, tracks the best, and
     raises the moment a valid configuration reaches the target."""
@@ -173,7 +167,7 @@ class _CountingObjective:
         if (
             self._target is not None
             and e <= self._target + self._tol
-            and _one_per_block(bits, self._problem)
+            and valid_mask(bits, self._problem)[0]
         ):
             raise _TargetReached
         return e
@@ -349,8 +343,8 @@ def dual_anneal(
     return AnnealResult(
         converged=converged,
         best_energy=objective.best_energy,
-        best_bitstring="".join("1" if b else "0" for b in bits),
-        valid=_one_per_block(bits, problem),
+        best_bitstring=bits_to_string(bits),
+        valid=bool(valid_mask(bits, problem)[0]),
         evaluations=objective.evaluations,
         iterations_used=iterations,
         restarts=restarts,
@@ -447,7 +441,7 @@ def discrete_anneal(
     return AnnealResult(
         converged=converged,
         best_energy=float(best_energy),
-        best_bitstring="".join("1" if b else "0" for b in bits),
+        best_bitstring=bits_to_string(bits),
         valid=True,
         evaluations=evaluations,
         iterations_used=iterations,
@@ -484,9 +478,8 @@ def sa_ensemble(
 ) -> SaEnsembleResult:
     """Seed-isolated annealing trajectories with ratio-normalized cost.
 
-    Cost of a successful trajectory is its evaluation count; the mean (and
-    std) over successes is divided by the success ratio, mirroring the QAOA
-    ensemble accounting. No successes leaves the costs as None.
+    Cost of a successful trajectory is its evaluation count, accounted by
+    :func:`rotpack.driver.ensemble_cost` exactly as for QAOA ensembles.
     """
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -501,14 +494,9 @@ def sa_ensemble(
         results.append(
             anneal(problem, child, target_energy=target_energy, tol=tol)
         )
-    successes = [r for r in results if r.converged]
-    ratio = len(successes) / len(results)
-    if not successes:
-        return SaEnsembleResult(tuple(results), 0.0, None, None)
-    costs = np.array([r.evaluations for r in successes], dtype=float)
     return SaEnsembleResult(
-        results=tuple(results),
-        success_ratio=ratio,
-        mean_cost=float(costs.mean()) / ratio,
-        std_cost=float(costs.std()) / ratio,
+        tuple(results),
+        *ensemble_cost(
+            [r.evaluations for r in results], [r.converged for r in results]
+        ),
     )

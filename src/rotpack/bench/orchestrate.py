@@ -78,7 +78,6 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
     target = cell_target_energy(cell, problem)
 
     cell_dir.mkdir(parents=True, exist_ok=True)
-    records_path = cell_dir / "records.jsonl"
 
     if cell.solver == "qaoa":
         config = QaoaConfig(
@@ -87,9 +86,7 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         result = run_ensemble(
             problem, config, cell.trajectories, workers=workers
         )
-        write_records_jsonl(result.records, records_path)
-        aggregate = result.summary_dict()
-        aggregate["success_ratio"] = aggregate.pop("convergence_ratio")
+        records = result.records
         cost_unit = "shots"
         per_iteration = config.resolved_shots(problem.num_qubits)
     else:
@@ -102,14 +99,10 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
             target_energy=target,
             method=method,
         )
-        with open(records_path, "w") as fh:
-            for r in result.results:
-                fh.write(
-                    json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n"
-                )
-        aggregate = result.summary_dict()
+        records = result.results
         cost_unit = "evaluations"
         per_iteration = config.max_iterations
+    write_records_jsonl(records, cell_dir / "records.jsonl")
 
     summary = {
         "cell": dataclasses.asdict(cell),
@@ -119,7 +112,7 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         "target_energy": _jsonable(target),
         "cost_unit": cost_unit,
         "per_iteration": per_iteration,
-        "aggregate": {k: _jsonable(v) for k, v in aggregate.items()},
+        "aggregate": {k: _jsonable(v) for k, v in result.summary_dict().items()},
         "wall_time": time.perf_counter() - start,
     }
     with open(cell_dir / "summary.json", "w") as fh:

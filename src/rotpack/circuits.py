@@ -43,7 +43,6 @@ __all__ = [
     "assemble_ansatz",
     "ansatz_hamiltonian",
     "ring_edge_colors",
-    "circuit_to_text",
 ]
 
 REGIMES = ("baseline", "penalty", "xy")
@@ -115,12 +114,6 @@ class Circuit:
     @property
     def variational_gates(self) -> tuple[Gate, ...]:
         return self.gates[self.prep_len :]
-
-    def layers(self) -> list[list[int]]:
-        """Two-qubit gate indices grouped into parallel layers."""
-        from .depth import schedule
-
-        return [list(layer.gate_indices) for layer in schedule(self.gates)]
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -293,15 +286,13 @@ class AnsatzSpec:
 
     ``penalty`` only applies to the penalty regime (None picks the
     instance's guaranteed-separating default). ``init_config`` overrides
-    the transverse-field regimes' starting bitstring. ``shots`` is carried
-    as metadata for runners.
+    the transverse-field regimes' starting bitstring.
     """
 
     regime: str
     p: int
     penalty: float | None = None
     init_config: tuple[int, ...] | None = None
-    shots: int | None = None
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
@@ -356,20 +347,3 @@ def assemble_ansatz(
         prep_len=len(init.gates),
         phase=phase,
     )
-
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """Plain-text gate list, one gate per line: kind, qubits, angles.
-
-    Meant for cross-checking against external simulators; the global phase
-    and the prep length travel as comment lines.
-    """
-    lines = [
-        f"# qubits {circuit.num_qubits}",
-        f"# prep_len {circuit.prep_len}",
-        f"# phase {circuit.phase!r}",
-    ]
-    for g in circuit.gates:
-        parts = [g.kind, *map(str, g.qubits), *(repr(p) for p in g.params)]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

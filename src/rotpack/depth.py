@@ -33,7 +33,6 @@ __all__ = [
     "logical_depth",
     "depth_report",
     "uniform_problem",
-    "lnn_routing_estimate",
 ]
 
 _DIAGONAL = frozenset({"rz", "rzz"})
@@ -189,27 +188,3 @@ def schedule_trace(circuit: Circuit, include_state_prep: bool = True) -> list[di
             }
         )
     return rows
-
-
-def lnn_routing_estimate(circuit: Circuit) -> dict:
-    """CNOT totals under naive linear-nearest-neighbor SWAP routing.
-
-    Each two-qubit gate on qubits a distance d apart is charged 2*(d-1)
-    SWAPs (3 CNOTs each) to bring the qubits together and return them.
-    This is a generic upper-bound estimate with no device model or routing
-    optimization behind it; it is NOT comparable to transpiler output for
-    any real topology.
-    """
-    native = 0
-    swap_cnots = 0
-    for g in circuit.gates:
-        if not g.is_two_qubit:
-            continue
-        native += CNOT_COST[g.kind]
-        distance = abs(g.qubits[0] - g.qubits[1])
-        swap_cnots += 6 * (distance - 1)
-    return {
-        "cnot_count": native,
-        "swap_cnots": swap_cnots,
-        "total_cnots": native + swap_cnots,
-    }

@@ -19,14 +19,13 @@ trajectories reproduce in isolation.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ._rng import generator, trajectory_seed
 from .circuits import AnsatzSpec, REGIMES, assemble_ansatz, build_initial_state, build_mixer
 from .mps import run_circuit_mps
 from .optimizers import make_optimizer
-from .problem import RotamerProblem, valid_mask
+from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
 from . import statevector as sv
 from .circuits import ansatz_hamiltonian
@@ -51,6 +50,7 @@ __all__ = [
     "optimize",
     "run_ensemble",
     "aggregate_records",
+    "ensemble_cost",
     "write_records_jsonl",
 ]
 
@@ -144,9 +144,6 @@ class RunRecord:
     max_bond_reached: int | None = None
     discarded_weight: float | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
 
 def cvar_of_values(values: Sequence[float], alpha: float) -> float:
     """Mean of the lowest ceil(alpha * len) values."""
@@ -183,10 +180,6 @@ def init_params(
     return out
 
 
-def _bits_to_string(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
 def optimize(
     problem: RotamerProblem,
     config: QaoaConfig,
@@ -205,7 +198,6 @@ def optimize(
         p=config.p,
         penalty=config.penalty if config.regime == "penalty" else None,
         init_config=config.init_config,
-        shots=shots,
     )
     h_opt = ansatz_hamiltonian(problem, spec)
     bare_qubo = build_qubo(problem)
@@ -260,54 +252,56 @@ def optimize(
     max_bond_seen: int | None = None
     worst_discard: float | None = None
 
-    while iterations < budget:
-        params = optimizer.ask()
-        if params is None:
-            if isinstance(config.stop_mode, ParameterConvergence):
-                converged = True
-                break
-            if asks_this_round == 0:
-                # the restarted optimizer gave up without proposing anything
-                break
-            optimizer = make_optimizer(
-                config.optimizer, best_params, budget - iterations
-            )
-            restarts += 1
-            asks_this_round = 0
-            continue
-        asks_this_round += 1
-        iterations += 1
-        bits, meta = run_iteration(params)
-        if "max_bond_reached" in meta:
-            max_bond_seen = max(max_bond_seen or 0, meta["max_bond_reached"])
-            worst_discard = max(worst_discard or 0.0, meta["discarded_weight"])
+    try:
+        while iterations < budget:
+            params = optimizer.ask()
+            if params is None:
+                if isinstance(config.stop_mode, ParameterConvergence):
+                    converged = True
+                    break
+                if asks_this_round == 0:
+                    # the restarted optimizer gave up without proposing anything
+                    break
+                optimizer = make_optimizer(
+                    config.optimizer, best_params, budget - iterations
+                )
+                restarts += 1
+                asks_this_round = 0
+                continue
+            asks_this_round += 1
+            iterations += 1
+            bits, meta = run_iteration(params)
+            if "max_bond_reached" in meta:
+                max_bond_seen = max(max_bond_seen or 0, meta["max_bond_reached"])
+                worst_discard = max(worst_discard or 0.0, meta["discarded_weight"])
 
-        energies = bare_qubo.energies(bits)
-        valid = valid_mask(bits, problem)
-        if valid.any():
-            local = np.flatnonzero(valid)
-            best_local = local[np.argmin(energies[local])]
-            if best_energy is None or energies[best_local] < best_energy:
-                best_energy = float(energies[best_local])
-                best_bits = _bits_to_string(bits[best_local])
-        if isinstance(config.stop_mode, FirstGroundState):
-            hits = valid & (
-                np.abs(energies - config.stop_mode.target_energy)
-                <= config.stop_mode.tol
-            )
-            if hits.any():
-                first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
-                converged = True
-                break
+            energies = bare_qubo.energies(bits)
+            valid = valid_mask(bits, problem)
+            if valid.any():
+                local = np.flatnonzero(valid)
+                best_local = local[np.argmin(energies[local])]
+                if best_energy is None or energies[best_local] < best_energy:
+                    best_energy = float(energies[best_local])
+                    best_bits = bits_to_string(bits[best_local])
+            if isinstance(config.stop_mode, FirstGroundState):
+                hits = valid & (
+                    np.abs(energies - config.stop_mode.target_energy)
+                    <= config.stop_mode.tol
+                )
+                if hits.any():
+                    first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
+                    converged = True
+                    break
 
-        value = cvar(bits, h_opt, config.cvar_alpha)
-        last_cvar = value
-        if value < best_cvar:
-            best_cvar = value
-            best_params = np.array(params, copy=True)
-        optimizer.tell(value)
-
-    optimizer.close(best_cvar if math.isfinite(best_cvar) else 0.0)
+            value = cvar(bits, h_opt, config.cvar_alpha)
+            last_cvar = value
+            if value < best_cvar:
+                best_cvar = value
+                best_params = np.array(params, copy=True)
+            optimizer.tell(value)
+    finally:
+        # also on an exception, so the optimizer's worker thread never strands
+        optimizer.close(best_cvar if math.isfinite(best_cvar) else 0.0)
 
     return RunRecord(
         trajectory_id=trajectory_id,
@@ -341,33 +335,39 @@ class EnsembleResult:
     def summary_dict(self) -> dict:
         return {
             "num_trajectories": len(self.records),
-            "convergence_ratio": self.convergence_ratio,
+            "success_ratio": self.convergence_ratio,
             "mean_cost": self.mean_cost,
             "std_cost": self.std_cost,
         }
 
 
-def aggregate_records(records: Sequence[RunRecord]) -> EnsembleResult:
-    """Convergence ratio and ratio-normalized cost statistics.
+def ensemble_cost(
+    costs: Sequence[float], converged: Sequence[bool]
+) -> tuple[float, float | None, float | None]:
+    """Success ratio and the ratio-normalized mean and std cost of an ensemble.
 
-    Cost of a converged trajectory is its total shots; the ensemble mean
-    (and std) over converged trajectories is divided by the convergence
-    ratio so that unreliable settings pay for their failures. With zero
-    converged trajectories the costs are undefined and reported as None.
+    The mean (and std) cost over converged runs is divided by the fraction
+    of runs that converged, so that unreliable settings pay for their
+    failures. With zero converged runs the costs are undefined and reported
+    as None.
     """
+    hits = np.array([c for c, ok in zip(costs, converged) if ok], dtype=float)
+    if hits.size == 0:
+        return 0.0, None, None
+    ratio = hits.size / len(costs)
+    return ratio, float(hits.mean()) / ratio, float(hits.std()) / ratio
+
+
+def aggregate_records(records: Sequence[RunRecord]) -> EnsembleResult:
+    """Convergence ratio and :func:`ensemble_cost` over total shots."""
     records = tuple(records)
     if not records:
         raise ValueError("no records to aggregate")
-    converged = [r for r in records if r.converged]
-    ratio = len(converged) / len(records)
-    if not converged:
-        return EnsembleResult(records, 0.0, None, None)
-    costs = np.array([r.total_shots for r in converged], dtype=float)
     return EnsembleResult(
-        records=records,
-        convergence_ratio=ratio,
-        mean_cost=float(costs.mean()) / ratio,
-        std_cost=float(costs.std()) / ratio,
+        records,
+        *ensemble_cost(
+            [r.total_shots for r in records], [r.converged for r in records]
+        ),
     )
 
 
@@ -402,8 +402,8 @@ def run_ensemble(
     return aggregate_records(records)
 
 
-def write_records_jsonl(records: Sequence[RunRecord], path: str | Path) -> None:
-    """One JSON document per line, one line per trajectory."""
+def write_records_jsonl(records: Iterable, path: str | Path) -> None:
+    """One JSON document per line, one line per record (any dataclass)."""
     with open(path, "w") as fh:
         for r in records:
-            fh.write(r.to_json() + "\n")
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")

@@ -18,22 +18,13 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Protocol
 
 import numpy as np
 from scipy.optimize import minimize
 
-__all__ = ["AskTellOptimizer", "ScipyAskTell", "OPTIMIZER_METHODS", "make_optimizer"]
+__all__ = ["ScipyAskTell", "OPTIMIZER_METHODS", "make_optimizer"]
 
 OPTIMIZER_METHODS = ("cobyla", "nelder-mead")
-
-
-class AskTellOptimizer(Protocol):
-    def ask(self) -> np.ndarray | None: ...
-
-    def tell(self, value: float) -> None: ...
-
-    def close(self, fill_value: float) -> None: ...
 
 
 class ScipyAskTell:
@@ -45,7 +36,9 @@ class ScipyAskTell:
             raise ValueError(f"unknown optimizer {method!r}")
         scipy_name = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}[method]
         if scipy_name == "COBYLA":
-            options = {"maxiter": max_evals}
+            # below n + 2 scipy warns and substitutes n + 2 itself; passing
+            # it directly keeps the same points without the warning
+            options = {"maxiter": max(max_evals, len(x0) + 2)}
         else:
             options = {"maxiter": max_evals, "maxfev": max_evals}
         self._ask_q: queue.Queue = queue.Queue(maxsize=1)

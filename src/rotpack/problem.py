@@ -29,16 +29,14 @@ from ._rng import generator
 __all__ = [
     "RotamerProblem",
     "InvalidBitstring",
-    "InteractionProfile",
     "ProblemFormatError",
     "load_problem",
     "save_problem",
     "random_problem",
     "decode",
     "encode",
-    "block_weights",
+    "bits_to_string",
     "valid_mask",
-    "interaction_profile",
 ]
 
 Config = tuple[int, ...]
@@ -208,21 +206,19 @@ def encode(config: Sequence[int], problem: RotamerProblem) -> np.ndarray:
     return bits
 
 
-def block_weights(bits: np.ndarray, problem: RotamerProblem) -> np.ndarray:
-    """Per-block Hamming weights for a batch of bitstrings.
-
-    ``bits`` has shape (num_samples, M); the result has shape
-    (num_samples, num_residues).
-    """
-    bits = np.atleast_2d(np.asarray(bits))
-    return np.stack(
-        [bits[:, off : off + n].sum(axis=1) for off, n in problem.blocks], axis=1
-    )
+def bits_to_string(bits: Sequence[int]) -> str:
+    """A bitstring as text, qubit 0 first."""
+    return "".join("1" if b else "0" for b in bits)
 
 
 def valid_mask(bits: np.ndarray, problem: RotamerProblem) -> np.ndarray:
-    """Boolean mask of rows whose every block has weight exactly one."""
-    return np.all(block_weights(bits, problem) == 1, axis=1)
+    """Boolean mask of the rows of a (S, M) bit array whose every block has
+    weight exactly one (a single bitstring counts as one row)."""
+    bits = np.atleast_2d(np.asarray(bits))
+    mask = np.ones(bits.shape[0], dtype=bool)
+    for off, n in problem.blocks:
+        mask &= bits[:, off : off + n].sum(axis=1) == 1
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -478,52 +474,3 @@ def save_problem(
                     ["pair", r["res_i"], r["rot_i"], r["res_j"], r["rot_j"], r["energy"]]
                 )
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Interaction locality
-
-
-@dataclass(frozen=True)
-class InteractionProfile:
-    """|pair energy| statistics grouped by residue separation."""
-
-    distances: tuple[int, ...]
-    mean_abs: tuple[float, ...]
-    max_abs: tuple[float, ...]
-
-    def as_dict(self) -> dict[int, dict[str, float]]:
-        return {
-            d: {"mean_abs": m, "max_abs": x}
-            for d, m, x in zip(self.distances, self.mean_abs, self.max_abs)
-        }
-
-
-def interaction_profile(problem: RotamerProblem) -> InteractionProfile:
-    """Summarize coupling strength at each residue separation.
-
-    Intended for full-pair-table instances: comparing the d = 1 row against
-    d > 1 rows shows whether truncating to nearest-neighbor interactions is
-    justified for a dataset. Distances with no stored entries report zeros.
-    """
-    n = problem.num_residues
-    means: list[float] = []
-    maxes: list[float] = []
-    for d in range(1, n):
-        entries = [
-            np.abs(tab)
-            for (i, j), tab in problem.pair_blocks.items()
-            if j - i == d
-        ]
-        if entries:
-            flat = np.concatenate([e.ravel() for e in entries])
-            means.append(float(flat.mean()))
-            maxes.append(float(flat.max()))
-        else:
-            means.append(0.0)
-            maxes.append(0.0)
-    return InteractionProfile(
-        distances=tuple(range(1, n)),
-        mean_abs=tuple(means),
-        max_abs=tuple(maxes),
-    )

@@ -56,10 +56,6 @@ class QuboMatrix:
         object.__setattr__(self, "matrix", q)
         object.__setattr__(self, "block_offsets", tuple(self.block_offsets))
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     def energy(self, bits: Sequence[int]) -> float:
         x = np.asarray(bits, dtype=float)
         return float(x @ self.matrix @ x + self.offset)

@@ -8,13 +8,10 @@ formed, which keeps the high-twenties qubit range workable.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .circuits import Circuit, Gate, gate_matrix
 from .problem import RotamerProblem
-from .qubo import IsingHamiltonian, all_bitstring_energies
 
 __all__ = [
     "zero_state",
@@ -22,9 +19,7 @@ __all__ = [
     "run_circuit",
     "sample_state",
     "bits_from_indices",
-    "expectation",
     "invalid_mass",
-    "dump_statevector",
 ]
 
 
@@ -132,15 +127,6 @@ def sample_state(
     return bits_from_indices(indices, m)
 
 
-def expectation(state: np.ndarray, h: IsingHamiltonian) -> float:
-    """<H> for the diagonal spin Hamiltonian: sum over |a_x|^2 E(x)."""
-    m = _num_qubits(state)
-    if h.num_spins != m:
-        raise ValueError("state and Hamiltonian widths disagree")
-    probs = np.abs(state) ** 2
-    return float(probs @ all_bitstring_energies(h))
-
-
 def invalid_mass(state: np.ndarray, problem: RotamerProblem) -> float:
     """Total probability outside the one-rotamer-per-residue subspace."""
     m = _num_qubits(state)
@@ -155,8 +141,3 @@ def invalid_mass(state: np.ndarray, problem: RotamerProblem) -> float:
         valid &= weight == 1
     probs = np.abs(state) ** 2
     return float(probs[~valid].sum())
-
-
-def dump_statevector(state: np.ndarray, path: str | Path) -> None:
-    """Write amplitudes as raw little-endian complex64, index order."""
-    np.ascontiguousarray(state, dtype="<c8").tofile(Path(path))

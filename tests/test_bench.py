@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from rotpack.bench.fits import default_fit_start
 from rotpack.bench.orchestrate import cell_problem, cell_target_energy
 from rotpack.bench.reports import REFERENCE_DEPTHS, scaling_points
 from rotpack.problem import random_problem
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def planted_points(slope: float, intercept: float, sizes) -> list[tuple[float, float]]:
@@ -548,3 +553,29 @@ class TestCli:
         )
         assert code == 1
         assert "qaoa series" in capsys.readouterr().err
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch, capsys):
+        """Every ``bench`` line of the README's command block, minus its
+        optional ``[...]`` arguments, runs against the smoke plan."""
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        monkeypatch.chdir(ROOT)
+        tree = str(tmp_path / "tree")
+        commands = []
+        for line in lines:
+            argv = shlex.split(re.sub(r"\[[^\]]*\]", "", line.split("#", 1)[0]))
+            assert argv[0] == "bench"
+            commands.append(argv[1])
+            args = [tree if a == "/tmp/tree" else a for a in argv[1:]]
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                pytest.fail(f"{line!r} exited with {exc.code}")
+            err = capsys.readouterr().err
+            if argv[1] == "crossover":
+                # the smoke plan stays below the sizes a fit needs
+                assert code == 1 and "no usable fit" in err, line
+            else:
+                assert code == 0, line
+        assert commands == ["run", "fit", "crossover", "depth-table", "report"]

@@ -19,10 +19,10 @@ from rotpack.circuits import (
     build_cost_unitary,
     build_initial_state,
     build_mixer,
-    circuit_to_text,
     gate_matrix,
     ring_edge_colors,
 )
+from rotpack.depth import schedule
 from rotpack.problem import random_problem
 from rotpack.qubo import (
     IsingHamiltonian,
@@ -137,8 +137,8 @@ class TestCircuitValidation:
         circ = assemble_ansatz(
             problem, AnsatzSpec(regime="baseline", p=1), [0.3, 0.7]
         )
-        for layer in circ.layers():
-            touched = [q for k in layer for q in circ.gates[k].qubits]
+        for layer in schedule(circ.gates):
+            touched = [q for k in layer.gate_indices for q in circ.gates[k].qubits]
             assert len(touched) == len(set(touched))
 
 
@@ -541,22 +541,3 @@ class TestAnsatz:
         circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), params)
         state = run_circuit(circ)
         assert invalid_mass(state, problem) < 1e-12
-
-
-class TestCircuitText:
-    def test_format(self):
-        problem = random_problem(2, 2, seed=8)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=1), [0.25, -0.5])
-        text = circuit_to_text(circ)
-        lines = text.splitlines()
-        assert lines[0] == "# qubits 4"
-        assert lines[1] == f"# prep_len {circ.prep_len}"
-        assert lines[2].startswith("# phase ")
-        assert len(lines) == 3 + len(circ.gates)
-        assert text.endswith("\n")
-        first = circ.gates[0]
-        assert lines[3].split() == [
-            first.kind,
-            *map(str, first.qubits),
-            *(repr(p) for p in first.params),
-        ]

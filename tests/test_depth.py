@@ -10,7 +10,6 @@ from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz
 from rotpack.depth import (
     commutes,
     depth_report,
-    lnn_routing_estimate,
     logical_depth,
     schedule,
     schedule_trace,
@@ -194,29 +193,6 @@ class TestDepthReport:
         assert rows[0]["layer"] == 0
         first = circ.gates[layers[0].gate_indices[0]]
         assert rows[0]["gates"][0] == f"{first.kind}{first.qubits}"
-
-
-class TestRoutingEstimate:
-    def test_adjacent_gates_need_no_swaps(self):
-        circ = Circuit(num_qubits=2, gates=(rzz(0, 1),))
-        est = lnn_routing_estimate(circ)
-        assert est == {"cnot_count": 2, "swap_cnots": 0, "total_cnots": 2}
-
-    def test_distance_charged_both_ways(self):
-        circ = Circuit(num_qubits=4, gates=(rzz(0, 3),))
-        est = lnn_routing_estimate(circ)
-        assert est["swap_cnots"] == 6 * 2
-        assert est["total_cnots"] == 2 + 12
-
-    def test_mixed_circuit(self):
-        gates = (
-            Gate("cx", (0, 2)),
-            Gate("a", (1, 2), (0.1, 0.0)),
-            Gate("rz", (0,), (0.2,)),
-        )
-        est = lnn_routing_estimate(Circuit(num_qubits=3, gates=gates))
-        assert est["cnot_count"] == 1 + 3
-        assert est["swap_cnots"] == 6
 
 
 class TestUniformProblem:

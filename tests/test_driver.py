@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -220,6 +221,36 @@ class TestOptimize:
         assert rec.optimizer_restarts >= 1
         assert rec.best_energy == pytest.approx(target)
 
+    @pytest.mark.filterwarnings("error")
+    def test_short_restart_budget_raises_no_warning(self):
+        # the restart gets fewer evaluations than COBYLA's minimum of n + 2
+        problem = random_problem(3, 2, seed=5)
+        target = brute_force(problem).ground_energy
+        rec = optimize(
+            problem,
+            QaoaConfig(
+                regime="baseline",
+                p=2,
+                seed=0,
+                stop_mode=FirstGroundState(target - 100.0),
+                max_iterations=40,
+                shots_per_iteration=16,
+            ),
+        )
+        assert rec.optimizer_restarts == 1
+        assert rec.iterations_used == 40
+
+    def test_simulator_error_does_not_strand_optimizer_thread(self, monkeypatch):
+        def broken_sampler(*args, **kwargs):
+            raise RuntimeError("sampler failed")
+
+        problem = random_problem(2, 2, seed=1)
+        before = threading.active_count()
+        monkeypatch.setattr("rotpack.driver.sv.sample_state", broken_sampler)
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            optimize(problem, QaoaConfig(regime="xy", seed=0, max_iterations=20))
+        assert threading.active_count() == before
+
     def test_trajectories_reproduce(self):
         problem = random_problem(2, 2, seed=1)
         cfg = QaoaConfig(
@@ -324,7 +355,7 @@ class TestAggregation:
         result = aggregate_records([make_record()])
         assert result.summary_dict() == {
             "num_trajectories": 1,
-            "convergence_ratio": 1.0,
+            "success_ratio": 1.0,
             "mean_cost": 200.0,
             "std_cost": 0.0,
         }
@@ -359,5 +390,4 @@ class TestEnsemble:
         assert len(lines) == 3
         parsed = [json.loads(line) for line in lines]
         assert [r["trajectory_id"] for r in parsed] == [0, 1, 2]
-        assert parsed[0] == json.loads(records[0].to_json())
-        assert list(parsed[0]) == sorted(parsed[0])
+        assert lines[0] == json.dumps(dataclasses.asdict(records[0]), sort_keys=True)

@@ -14,13 +14,19 @@ from rotpack import (
     RotamerProblem,
     decode,
     encode,
-    interaction_profile,
     load_problem,
     random_problem,
     save_problem,
     valid_mask,
 )
-from rotpack.problem import block_weights
+
+
+def max_abs_by_distance(problem: RotamerProblem) -> dict[int, float]:
+    """Largest |pair energy| at each residue separation with a stored block."""
+    out: dict[int, float] = {}
+    for (i, j), table in problem.pair_blocks.items():
+        out[j - i] = max(out.get(j - i, 0.0), float(np.abs(table).max()))
+    return out
 
 
 def tiny_problem() -> RotamerProblem:
@@ -127,13 +133,6 @@ class TestCodec:
             bits = all_bitstrings(p.num_qubits)
             assert int(valid_mask(bits, p).sum()) == expected
 
-    def test_block_weights_shape(self):
-        p = random_problem(3, (2, 3, 2), seed=1)
-        bits = all_bitstrings(p.num_qubits)[:5]
-        w = block_weights(bits, p)
-        assert w.shape == (5, 3)
-        assert np.array_equal(w.sum(axis=1), bits.sum(axis=1))
-
     @given(problems_with_config())
     def test_encode_decode_roundtrip(self, case):
         problem, config = case
@@ -172,9 +171,9 @@ class TestGenerator:
         p = random_problem(
             5, 3, seed=11, decay=0.05, nearest_neighbor_only=False
         )
-        prof = interaction_profile(p)
-        assert prof.distances == (1, 2, 3, 4)
-        ratio = max(prof.max_abs[1:]) / prof.max_abs[0]
+        max_abs = max_abs_by_distance(p)
+        assert sorted(max_abs) == [1, 2, 3, 4]
+        ratio = max(max_abs[d] for d in (2, 3, 4)) / max_abs[1]
         assert ratio <= 0.05
 
     @given(
@@ -188,37 +187,14 @@ class TestGenerator:
         p = random_problem(
             n_res, n_rot, seed=seed, decay=decay, nearest_neighbor_only=False
         )
-        prof = interaction_profile(p)
-        for d, m in zip(prof.distances[1:], prof.max_abs[1:]):
-            assert m <= decay ** (d - 1) * prof.max_abs[0] + 1e-15
+        max_abs = max_abs_by_distance(p)
+        for d in range(2, n_res):
+            assert max_abs[d] <= decay ** (d - 1) * max_abs[1] + 1e-15
 
     def test_scales(self):
         p = random_problem(2, 2, seed=3, self_scale=0.0, pair_scale=2.0)
         assert np.all(p.self_energies == 0.0)
         assert np.abs(p.pair_blocks[(0, 1)]).max() <= 2.0
-
-
-class TestInteractionProfile:
-    def test_hand_instance(self):
-        blocks = {
-            (0, 1): np.array([[1.0, -2.0], [0.0, 1.0]]),
-            (1, 2): np.array([[0.5, 0.5], [0.5, 0.5]]),
-            (0, 2): np.array([[0.1, 0.0], [0.0, -0.3]]),
-        }
-        p = RotamerProblem(
-            (2, 2, 2), np.zeros(6), blocks, nearest_neighbor_only=False
-        )
-        prof = interaction_profile(p)
-        assert prof.distances == (1, 2)
-        assert prof.max_abs == (2.0, 0.3)
-        assert prof.mean_abs[0] == pytest.approx(6.0 / 8.0)
-        assert prof.mean_abs[1] == pytest.approx(0.1)
-
-    def test_absent_distance_reports_zero(self):
-        p = random_problem(3, 2, seed=0)
-        prof = interaction_profile(p)
-        assert prof.max_abs[1] == 0.0
-        assert prof.as_dict()[2] == {"mean_abs": 0.0, "max_abs": 0.0}
 
 
 class TestFiles:

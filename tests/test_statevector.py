@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from helpers import all_bitstrings, problems
 from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz, gate_matrix
 from rotpack.problem import random_problem, valid_mask
-from rotpack.qubo import IsingHamiltonian, build_qubo, qubo_to_ising
 from rotpack.statevector import (
     apply_gate,
     bits_from_indices,
-    dump_statevector,
-    expectation,
     invalid_mass,
     run_circuit,
     sample_state,
@@ -211,30 +208,6 @@ class TestSampling:
         assert 0.5 * np.abs(empirical - exact).sum() < 0.01
 
 
-class TestExpectation:
-    def test_basis_state(self):
-        problem = random_problem(2, 2, seed=4)
-        h = qubo_to_ising(build_qubo(problem))
-        state = zero_state(4)
-        assert expectation(state, h) == pytest.approx(h.energy_of_bits([0, 0, 0, 0]))
-
-    def test_width_mismatch(self):
-        h = IsingHamiltonian(np.zeros((2, 2)), np.zeros(2), 0.0)
-        with pytest.raises(ValueError, match="widths disagree"):
-            expectation(zero_state(3), h)
-
-    @given(
-        problems(max_residues=3, max_rotamers=3),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_matches_probability_weighted_sum(self, problem, seed):
-        h = qubo_to_ising(build_qubo(problem))
-        psi = random_state(problem.num_qubits, seed)
-        table = h.energies_of_bits(all_bitstrings(problem.num_qubits))
-        want = float(np.abs(psi) ** 2 @ table)
-        assert expectation(psi, h) == pytest.approx(want, abs=1e-10)
-
-
 class TestInvalidMass:
     def test_basis_states(self):
         problem = random_problem(2, 2, seed=0)
@@ -257,13 +230,3 @@ class TestInvalidMass:
         mask = valid_mask(all_bitstrings(problem.num_qubits), problem)
         want = float((np.abs(psi) ** 2)[~mask].sum())
         assert invalid_mass(psi, problem) == pytest.approx(want, abs=1e-12)
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        psi = random_state(3, 21)
-        path = tmp_path / "state.c8"
-        dump_statevector(psi, path)
-        assert path.stat().st_size == 8 * 8
-        back = np.fromfile(path, dtype="<c8")
-        np.testing.assert_array_equal(back, psi.astype(np.complex64))

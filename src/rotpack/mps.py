@@ -136,7 +136,12 @@ class MpsState:
             keep = min(keep, self.max_bond)
         kept = float(np.sum(s[:keep] ** 2))
         if total > 0.0:
-            self.discarded_weight += (total - kept) / total
+            # summed from the dropped values, so an exact split adds nothing
+            # (total - kept is round-off of either sign there); increments at
+            # round-off level are not truncation and are left out
+            dropped = float(np.sum(s[keep:] ** 2)) / total
+            if dropped > np.finfo(float).eps:
+                self.discarded_weight += dropped
         s = s[:keep] / np.sqrt(kept)
         self.tensors[site] = u[:, :keep].reshape(l, 2, keep)
         self.tensors[site + 1] = (s[:, None] * vh[:keep]).reshape(keep, 2, r)

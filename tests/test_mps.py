@@ -63,7 +63,7 @@ class TestAgainstDense:
         dense = run_circuit(circ)
         state = run_circuit_mps(circ, max_bond=None)
         np.testing.assert_allclose(state.amplitudes(), dense, atol=1e-8)
-        assert abs(state.discarded_weight) < 1e-12
+        assert state.discarded_weight == 0.0
         assert state.norm() == pytest.approx(1.0)
 
     def test_global_phase_carried(self):

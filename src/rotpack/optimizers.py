@@ -11,7 +11,9 @@ relaying points and values over a pair of one-slot queues. ``close`` lets a
 caller abandon an optimization early (ground state found): the remaining
 proposals are answered with a constant fill value, which makes the method
 converge on its own within a handful of cheap callbacks; nothing is raised
-across the scipy boundary and the worker always terminates.
+across the scipy boundary and the worker always terminates. An exception
+raised inside ``minimize`` ends the worker too; ``ask()`` re-raises it in the
+caller's thread, once, and behaves as terminated afterwards.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class ScipyAskTell:
         self._tell_q: queue.Queue = queue.Queue(maxsize=1)
         self._done = False
         self._pending = False
+        self._error: Exception | None = None
 
         def objective(x: np.ndarray) -> float:
             self._ask_q.put(np.array(x, copy=True))
@@ -54,6 +57,8 @@ class ScipyAskTell:
             try:
                 minimize(objective, np.asarray(x0, dtype=float), method=scipy_name,
                          options=options)
+            except Exception as exc:  # handed to the caller by ask()
+                self._error = exc
             finally:
                 self._ask_q.put(None)
 
@@ -67,6 +72,9 @@ class ScipyAskTell:
         if x is None:
             self._done = True
             self._thread.join()
+            if self._error is not None:
+                error, self._error = self._error, None
+                raise error
             return None
         self._pending = True
         return x

@@ -251,6 +251,17 @@ class TestOptimize:
             optimize(problem, QaoaConfig(regime="xy", seed=0, max_iterations=20))
         assert threading.active_count() == before
 
+    def test_optimizer_error_is_raised_not_recorded_as_converged(self, monkeypatch):
+        def broken_minimize(*args, **kwargs):
+            raise RuntimeError("minimize failed")
+
+        problem = random_problem(2, 2, seed=1)
+        before = threading.active_count()
+        monkeypatch.setattr("rotpack.optimizers.minimize", broken_minimize)
+        with pytest.raises(RuntimeError, match="minimize failed"):
+            optimize(problem, QaoaConfig(regime="xy", max_iterations=20))
+        assert threading.active_count() == before
+
     def test_trajectories_reproduce(self):
         problem = random_problem(2, 2, seed=1)
         cfg = QaoaConfig(

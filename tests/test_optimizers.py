@@ -116,3 +116,18 @@ class TestScipyAskTell:
             opt.tell(0.0)
         assert opt.ask() is None
         assert opt.ask() is None
+
+    def test_worker_error_raised_once_by_ask(self, monkeypatch):
+        def failing_minimize(fun, x0, **kwargs):
+            fun(x0)
+            raise ValueError("scipy failed")
+
+        monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
+        opt = make_optimizer("cobyla", np.zeros(2), 20)
+        assert opt.ask() is not None
+        opt.tell(1.0)
+        with pytest.raises(ValueError, match="scipy failed"):
+            opt.ask()
+        assert not opt._thread.is_alive()
+        assert opt.ask() is None
+        opt.close(0.0)

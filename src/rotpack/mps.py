@@ -5,12 +5,25 @@ site q holding qubit q, kept in mixed-canonical form around a moving
 orthogonality center. Two-qubit gates contract the two neighboring tensors,
 apply the 4x4 unitary, and split back with an SVD truncated to the bond cap
 and singular-value threshold; the relative weight thrown away accumulates
-in ``discarded_weight``. Gates on non-adjacent qubits are routed with
-temporary SWAPs (applied and undone), which costs simulator time but never
-appears in circuit depth accounting.
+in ``discarded_weight``.
+
+Qubits that are not neighbors are brought together with SWAP updates that
+cost simulator time but never appear in circuit depth accounting. A run of
+consecutive ``rz``/``rzz`` gates (a cost layer) is diagonal, so its gates
+commute: ``run_circuit_mps`` hands each such run to
+``MpsState.apply_diagonal_run``, which walks each lower qubit of the run's
+couplings once to its farthest partner and back, applying every coupling
+inside the swap that passes its partner. Every other two-qubit gate is
+routed on its own, its higher qubit swapped next to the lower one and back.
+Either way every qubit ends at its home site, and each split leaves the
+orthogonality center on the side the route moves toward, so a route pays no
+QR shifts between its steps.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from itertools import groupby
 
 import numpy as np
 
@@ -21,6 +34,7 @@ __all__ = ["MpsState", "run_circuit_mps"]
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+_DIAGONAL_KINDS = frozenset({"rz", "rzz"})
 
 
 class MpsState:
@@ -35,6 +49,10 @@ class MpsState:
     threshold:
         Relative singular-value cutoff: values below
         ``threshold * s_max`` are dropped at each split.
+
+    ``two_site_updates`` counts the two-site splits performed and
+    ``swap_updates`` those among them that exchange two qubits for routing
+    (with or without a coupling folded in).
     """
 
     def __init__(
@@ -59,6 +77,8 @@ class MpsState:
         self.center = 0
         self.discarded_weight = 0.0
         self.max_bond_reached = 1
+        self.two_site_updates = 0
+        self.swap_updates = 0
 
     # -- canonical form ----------------------------------------------------
 
@@ -112,14 +132,74 @@ class MpsState:
             matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         # route hi next to lo, apply, route back
         for site in range(hi - 1, lo, -1):
-            self._apply_adjacent(site, _SWAP)
+            self._apply_adjacent(site, _SWAP, swap=True, center_left=True)
         self._apply_adjacent(lo, matrix)
         for site in range(lo + 1, hi):
-            self._apply_adjacent(site, _SWAP)
+            self._apply_adjacent(site, _SWAP, swap=True)
 
-    def _apply_adjacent(self, site: int, matrix: np.ndarray) -> None:
-        """Apply a 4x4 unitary on (site, site+1), index = 2*bit_left + bit_right."""
-        self.move_center(site)
+    def apply_diagonal_run(self, gates: Sequence[Gate]) -> None:
+        """Apply commuting ``rz``/``rzz`` gates, routing each lower qubit once.
+
+        ``rz`` phases multiply into their site tensors in place. Then each
+        lower qubit of the ``rzz`` pairs, in ascending order, walks right
+        with swaps, each swap carrying the coupling with the qubit it
+        passes; the coupling with its farthest partner, at distance D, is
+        applied without a swap, and the qubit walks home with plain swaps:
+        2D - 1 two-site updates. Couplings repeated on one pair are
+        multiplied into one. Every qubit ends at its home site.
+        """
+        phases: dict[int, np.ndarray] = {}
+        couplings: dict[int, dict[int, np.ndarray]] = {}
+        for gate in gates:
+            if gate.kind not in _DIAGONAL_KINDS:
+                raise ValueError(f"{gate.kind} gate is not diagonal")
+            if any(q >= self.num_qubits for q in gate.qubits):
+                raise IndexError(f"gate {gate} out of range")
+            diag = np.diag(gate_matrix(gate))
+            if len(gate.qubits) == 1:
+                table, q = phases, gate.qubits[0]
+            else:
+                # an rzz phase is symmetric in its two qubits
+                lo, hi = sorted(gate.qubits)
+                table, q = couplings.setdefault(lo, {}), hi
+            table[q] = table[q] * diag if q in table else diag
+        for q, diag in phases.items():
+            self.tensors[q] = self.tensors[q] * diag[None, :, None]
+        for lo in sorted(couplings):
+            partners = couplings[lo]
+            far = max(partners)
+            # qubit lo sits at ``site`` and passes qubit site + 1
+            for site in range(lo, far - 1):
+                diag = partners.get(site + 1)
+                matrix = _SWAP if diag is None else _SWAP * diag
+                self._apply_adjacent(site, matrix, swap=True)
+            # the center follows the walk home, then stays on lo + 1, where
+            # the next lower qubit's walk starts
+            self._apply_adjacent(far - 1, np.diag(partners[far]), center_left=far - 1 > lo)
+            for site in range(far - 2, lo - 1, -1):
+                self._apply_adjacent(site, _SWAP, swap=True, center_left=site > lo)
+
+    def _apply_adjacent(
+        self,
+        site: int,
+        matrix: np.ndarray,
+        *,
+        swap: bool = False,
+        center_left: bool = False,
+    ) -> None:
+        """Apply a 4x4 unitary on (site, site+1), index = 2*bit_left + bit_right.
+
+        ``swap`` marks a unitary that ends by exchanging the two qubits; it
+        is only counted. The orthogonality center ends on the left site with
+        ``center_left`` and on the right one otherwise: the side the route
+        moves toward next.
+        """
+        # either site may hold the center: the pair's contraction is then
+        # the whole state's center block
+        if self.center < site:
+            self.move_center(site)
+        elif self.center > site + 1:
+            self.move_center(site + 1)
         left, right = self.tensors[site], self.tensors[site + 1]
         l = left.shape[0]
         r = right.shape[2]
@@ -143,10 +223,17 @@ class MpsState:
             if dropped > np.finfo(float).eps:
                 self.discarded_weight += dropped
         s = s[:keep] / np.sqrt(kept)
-        self.tensors[site] = u[:, :keep].reshape(l, 2, keep)
-        self.tensors[site + 1] = (s[:, None] * vh[:keep]).reshape(keep, 2, r)
-        self.center = site + 1
+        if center_left:
+            self.tensors[site] = (u[:, :keep] * s).reshape(l, 2, keep)
+            self.tensors[site + 1] = vh[:keep].reshape(keep, 2, r)
+            self.center = site
+        else:
+            self.tensors[site] = u[:, :keep].reshape(l, 2, keep)
+            self.tensors[site + 1] = (s[:, None] * vh[:keep]).reshape(keep, 2, r)
+            self.center = site + 1
         self.max_bond_reached = max(self.max_bond_reached, keep)
+        self.two_site_updates += 1
+        self.swap_updates += swap
 
     def scale(self, factor: complex) -> None:
         self.tensors[self.center] = self.tensors[self.center] * factor
@@ -206,10 +293,19 @@ def run_circuit_mps(
     max_bond: int | None = 64,
     threshold: float = 1e-10,
 ) -> MpsState:
-    """Simulate a circuit from |0...0> as an MPS."""
+    """Simulate a circuit from |0...0> as an MPS.
+
+    Each maximal run of consecutive ``rz``/``rzz`` gates goes to
+    :meth:`MpsState.apply_diagonal_run`; every other gate to
+    :meth:`MpsState.apply_gate`.
+    """
     state = MpsState(circuit.num_qubits, max_bond=max_bond, threshold=threshold)
-    for gate in circuit.gates:
-        state.apply_gate(gate)
+    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in _DIAGONAL_KINDS):
+        if diagonal:
+            state.apply_diagonal_run(list(run))
+        else:
+            for gate in run:
+                state.apply_gate(gate)
     if circuit.phase != 0.0:
         state.scale(np.exp(1j * circuit.phase))
     return state

@@ -1,6 +1,7 @@
 """Bonded tensor-chain simulator against the dense reference."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import problems
 from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz
+from rotpack.driver import init_params
 from rotpack.mps import MpsState, run_circuit_mps
 from rotpack.problem import random_problem
 from rotpack.statevector import run_circuit, sample_state
@@ -52,6 +54,53 @@ class TestConstruction:
             state.amplitudes()
 
 
+@st.composite
+def mixed_circuits(draw):
+    """Up to 8 qubits of rz, rzz, xy, rx and cx; pairs in either order, repeats allowed."""
+    n = draw(st.integers(2, 8))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-math.pi, math.pi)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["rz", "rzz", "xy", "rx", "cx"]), max_size=30)):
+        if kind in ("rz", "rx"):
+            gates.append(Gate(kind, (draw(qubit),), (draw(angle),)))
+        else:
+            pair = tuple(draw(st.lists(qubit, min_size=2, max_size=2, unique=True)))
+            gates.append(Gate(kind, pair, () if kind == "cx" else (draw(angle),)))
+    return Circuit(num_qubits=n, gates=tuple(gates))
+
+
+def per_gate(circuit: Circuit, max_bond: int | None = 64) -> MpsState:
+    """Reference: every gate through ``apply_gate``, routed on its own."""
+    state = MpsState(circuit.num_qubits, max_bond=max_bond)
+    for gate in circuit.gates:
+        state.apply_gate(gate)
+    return state
+
+
+def expected_updates(circuit: Circuit) -> tuple[int, int]:
+    """(two-site updates, swap updates) of ``run_circuit_mps`` in closed form.
+
+    A diagonal run costs 2D - 1 updates, 2(D - 1) of them swaps, for each
+    lower qubit of its couplings with its farthest partner at distance D;
+    every other two-site gate at distance d costs 2(d - 1) swaps plus one.
+    """
+    updates = swaps = 0
+    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in ("rz", "rzz")):
+        run = [g for g in run if g.is_two_qubit]
+        if diagonal:
+            farthest: dict[int, int] = {}
+            for g in run:
+                lo, hi = sorted(g.qubits)
+                farthest[lo] = max(farthest.get(lo, 0), hi - lo)
+            distances = list(farthest.values())
+        else:
+            distances = [abs(g.qubits[0] - g.qubits[1]) for g in run]
+        updates += sum(2 * d - 1 for d in distances)
+        swaps += sum(2 * (d - 1) for d in distances)
+    return updates, swaps
+
+
 class TestAgainstDense:
     @given(
         problems(max_residues=3, max_rotamers=3, min_rotamers=2),
@@ -81,6 +130,29 @@ class TestAgainstDense:
         state = run_circuit_mps(circ, max_bond=None)
         np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
 
+    @given(mixed_circuits())
+    def test_mixed_circuits_match_dense(self, circ):
+        state = run_circuit_mps(circ, max_bond=None)
+        np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
+
+    def test_repeated_and_reversed_couplings_in_one_run(self):
+        gates = [Gate("rx", (q,), (0.3 + 0.2 * q,)) for q in range(5)]
+        gates += [
+            Gate("rzz", (0, 3), (0.4,)),
+            Gate("rz", (2,), (0.9,)),
+            Gate("rzz", (3, 0), (-1.1,)),
+            Gate("rzz", (4, 1), (0.7,)),
+            Gate("rz", (2,), (-0.2,)),
+            Gate("rzz", (1, 2), (1.3,)),
+            Gate("rzz", (0, 3), (0.25,)),
+            Gate("rzz", (0, 1), (0.6,)),
+        ]
+        circ = Circuit(num_qubits=5, gates=tuple(gates))
+        state = run_circuit_mps(circ, max_bond=None)
+        np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
+        # lower qubits 0 (farthest at 3) and 1 (farthest at 4)
+        assert (state.two_site_updates, state.swap_updates) == (5 + 5, 4 + 4)
+
     def test_ghz_chain(self):
         circ = ghz_circuit(6)
         state = run_circuit_mps(circ)
@@ -90,6 +162,43 @@ class TestAgainstDense:
         assert np.abs(amps[1:-1]).max() < 1e-12
         assert state.max_bond_reached == 2
         assert set(state.bond_dimensions()) == {2}
+
+
+class TestRouting:
+    def test_diagonal_run_rejects_other_gates(self):
+        with pytest.raises(ValueError, match="not diagonal"):
+            MpsState(3).apply_diagonal_run([Gate("rzz", (0, 2), (0.1,)), Gate("cx", (0, 1))])
+        with pytest.raises(IndexError, match="out of range"):
+            MpsState(3).apply_diagonal_run([Gate("rzz", (0, 3), (0.1,))])
+
+    def test_update_counts_match_closed_form(self):
+        problem = random_problem(5, 5, seed=3)
+        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), [0.3] * 4)
+        state = run_circuit_mps(circ)
+        assert (state.two_site_updates, state.swap_updates) == expected_updates(circ)
+        # routing every two-site gate on its own costs 2(d - 1) + 1 updates
+        old = per_gate(circ)
+        assert old.two_site_updates == 1930
+        assert state.two_site_updates == 650
+
+    @pytest.mark.parametrize("regime,residues,rotamers", [
+        ("xy", 5, 4), ("xy", 5, 5), ("penalty", 5, 4),
+    ])
+    def test_matches_per_gate_routing_at_benchmark_shapes(self, regime, residues, rotamers):
+        problem = random_problem(residues, rotamers, seed=7)
+        params = init_params(2, np.random.default_rng(rotamers))
+        circ = assemble_ansatz(problem, AnsatzSpec(regime=regime, p=2), params)
+        state = run_circuit_mps(circ, max_bond=64)
+        ref = per_gate(circ, max_bond=64)
+        np.testing.assert_array_equal(
+            state.sample(200, np.random.default_rng(1)),
+            ref.sample(200, np.random.default_rng(1)),
+        )
+        # the walk cuts the chain in other places than per-gate routing does,
+        # so its peak bond may be lower, never higher
+        assert state.max_bond_reached <= ref.max_bond_reached
+        assert state.discarded_weight <= ref.discarded_weight
+        assert state.two_site_updates < ref.two_site_updates
 
 
 class TestTruncation:

@@ -73,8 +73,8 @@ class ScipyAskTell:
             self._done = True
             self._thread.join()
             if self._error is not None:
-                error, self._error = self._error, None
-                raise error
+                # raised once: later calls return None above
+                raise self._error
             return None
         self._pending = True
         return x

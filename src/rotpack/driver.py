@@ -301,7 +301,7 @@ def optimize(
             optimizer.tell(value)
     finally:
         # also on an exception, so the optimizer's worker thread never strands
-        optimizer.close(best_cvar if math.isfinite(best_cvar) else 0.0)
+        optimizer.close()
 
     return RunRecord(
         trajectory_id=trajectory_id,

@@ -8,12 +8,13 @@ method has terminated.
 
 Scipy's COBYLA and Nelder-Mead run in a worker thread with the objective
 relaying points and values over a pair of one-slot queues. ``close`` lets a
-caller abandon an optimization early (ground state found): the remaining
-proposals are answered with a constant fill value, which makes the method
-converge on its own within a handful of cheap callbacks; nothing is raised
-across the scipy boundary and the worker always terminates. An exception
-raised inside ``minimize`` ends the worker too; ``ask()`` re-raises it in the
-caller's thread, once, and behaves as terminated afterwards.
+caller abandon an optimization early (ground state found): it sends a stop
+signal in place of a value, the objective raises a private exception out of
+``minimize`` at its next call, and the worker ends without storing an error.
+Scipy never sees a value the caller did not compute, and stopping does not
+depend on how a method behaves afterwards. Any other exception raised inside
+``minimize`` ends the worker too; ``ask()`` re-raises it in the caller's
+thread, once, and behaves as terminated afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from scipy.optimize import minimize
 __all__ = ["ScipyAskTell", "OPTIMIZER_METHODS", "make_optimizer"]
 
 OPTIMIZER_METHODS = ("cobyla", "nelder-mead")
+
+
+class _Closed(Exception):
+    """Raised by the objective to stop ``minimize`` once ``close`` is called."""
 
 
 class ScipyAskTell:
@@ -51,12 +56,17 @@ class ScipyAskTell:
 
         def objective(x: np.ndarray) -> float:
             self._ask_q.put(np.array(x, copy=True))
-            return self._tell_q.get()
+            value = self._tell_q.get()
+            if value is None:
+                raise _Closed
+            return value
 
         def worker() -> None:
             try:
                 minimize(objective, np.asarray(x0, dtype=float), method=scipy_name,
                          options=options)
+            except _Closed:
+                pass
             except Exception as exc:  # handed to the caller by ask()
                 self._error = exc
             finally:
@@ -85,12 +95,19 @@ class ScipyAskTell:
         self._pending = False
         self._tell_q.put(float(value))
 
-    def close(self, fill_value: float) -> None:
-        """Finish the worker by answering everything left with a constant."""
-        if self._pending:
-            self.tell(fill_value)
+    def close(self) -> None:
+        """Stop the worker and join it; safe in any state, and more than once.
+
+        An error ``minimize`` raised that ``ask()`` has not reported yet is
+        raised here.
+        """
+        if self._done:
+            return
+        # the worker may already have ended; then nobody reads this
+        self._tell_q.put(None)
         while self.ask() is not None:
-            self.tell(fill_value)
+            pass
+        self._pending = False
 
 
 def make_optimizer(method: str, x0: np.ndarray, max_evals: int) -> ScipyAskTell:

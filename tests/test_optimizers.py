@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from rotpack import optimizers
 from rotpack.optimizers import OPTIMIZER_METHODS, ScipyAskTell, make_optimizer
 
 
@@ -64,7 +65,7 @@ class TestScipyAskTell:
         x2 = opt.ask()
         assert x2 is not None
         assert not np.any(x2 == 99.0)
-        opt.close(1.0)
+        opt.close()
 
     def test_tell_without_ask(self):
         opt = make_optimizer("cobyla", np.zeros(2), 20)
@@ -74,7 +75,7 @@ class TestScipyAskTell:
         opt.tell(0.5)
         with pytest.raises(RuntimeError, match="tell without a pending ask"):
             opt.tell(0.5)
-        opt.close(0.5)
+        opt.close()
 
     @pytest.mark.parametrize("method", OPTIMIZER_METHODS)
     def test_close_drains_worker(self, method):
@@ -84,17 +85,83 @@ class TestScipyAskTell:
             x = opt.ask()
             assert x is not None
             opt.tell(float((x**2).sum()))
-        opt.close(0.0)
+        opt.close()
         assert opt.ask() is None
         assert not opt._thread.is_alive()
         assert threading.active_count() == before
 
     def test_close_with_pending_ask(self):
+        before = threading.active_count()
         opt = make_optimizer("nelder-mead", np.zeros(2), 100)
         assert opt.ask() is not None
-        # close must first answer the outstanding proposal
-        opt.close(2.0)
+        # the outstanding proposal is never answered: scipy stops inside it
+        opt.close()
         assert not opt._thread.is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("told", [0, 3])
+    @pytest.mark.parametrize("method", OPTIMIZER_METHODS)
+    def test_close_stops_scipy_at_its_next_call(self, method, told, n, monkeypatch):
+        calls = []
+        real_minimize = optimizers.minimize
+
+        def counting_minimize(fun, x0, **kwargs):
+            def counted(x):
+                calls.append(x)
+                return fun(x)
+
+            return real_minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr("rotpack.optimizers.minimize", counting_minimize)
+        opt = make_optimizer(method, np.zeros(n), 300)
+        for _ in range(told):
+            x = opt.ask()
+            opt.tell(float((x**2).sum()))
+        opt.close()
+        assert not opt._thread.is_alive()
+        # the call that receives the stop signal is the only one not told
+        assert len(calls) == told + 1
+
+    @pytest.mark.parametrize("state", ["ended", "budget 0", "worker error"])
+    @pytest.mark.parametrize("method", OPTIMIZER_METHODS)
+    def test_close_in_any_state(self, method, state, monkeypatch):
+        before = threading.active_count()
+        if state == "worker error":
+
+            def failing_minimize(fun, x0, **kwargs):
+                fun(x0)
+                raise ValueError("scipy failed")
+
+            monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
+        opt = make_optimizer(method, np.zeros(2), 0 if state == "budget 0" else 20)
+        if state == "ended":
+            while (x := opt.ask()) is not None:
+                opt.tell(float((x**2).sum()))
+        elif state == "worker error":
+            opt.ask()
+            opt.tell(1.0)
+            with pytest.raises(ValueError, match="scipy failed"):
+                opt.ask()
+        opt.close()
+        opt.close()
+        assert not opt._thread.is_alive()
+        assert threading.active_count() == before
+        assert opt.ask() is None
+
+    def test_close_raises_an_unreported_worker_error(self, monkeypatch):
+        def failing_minimize(fun, x0, **kwargs):
+            fun(x0)
+            raise ValueError("scipy failed")
+
+        monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
+        opt = make_optimizer("cobyla", np.zeros(2), 20)
+        opt.ask()
+        opt.tell(1.0)
+        with pytest.raises(ValueError, match="scipy failed"):
+            opt.close()
+        assert not opt._thread.is_alive()
+        opt.close()
 
     @pytest.mark.parametrize("method", OPTIMIZER_METHODS)
     def test_budget_respected(self, method):
@@ -130,4 +197,4 @@ class TestScipyAskTell:
             opt.ask()
         assert not opt._thread.is_alive()
         assert opt.ask() is None
-        opt.close(0.0)
+        opt.close()

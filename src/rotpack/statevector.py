@@ -41,24 +41,6 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     m = _num_qubits(state)
     if any(q >= m for q in gate.qubits):
         raise IndexError(f"gate {gate} out of range for {m} qubits")
-    if gate.kind == "rz":
-        q = gate.qubits[0]
-        view = state.reshape(-1, 2, 1 << q)
-        half = 0.5j * gate.params[0]
-        view[:, 0, :] *= np.exp(-half)
-        view[:, 1, :] *= np.exp(half)
-        return state
-    if gate.kind == "rzz":
-        qa, qb = gate.qubits
-        hi, lo = max(qa, qb), min(qa, qb)
-        view = state.reshape(-1, 2, (1 << hi) // (2 << lo), 2, 1 << lo)
-        same = np.exp(-0.5j * gate.params[0])
-        diff = np.exp(0.5j * gate.params[0])
-        view[:, 0, :, 0, :] *= same
-        view[:, 1, :, 1, :] *= same
-        view[:, 0, :, 1, :] *= diff
-        view[:, 1, :, 0, :] *= diff
-        return state
     matrix = gate_matrix(gate)
     if len(gate.qubits) == 1:
         q = gate.qubits[0]

@@ -20,8 +20,6 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from ..baselines import SaConfig, brute_force, sa_ensemble
 from ..driver import FirstGroundState, QaoaConfig, run_ensemble, write_records_jsonl
 from ..problem import RotamerProblem, random_problem
@@ -63,14 +61,6 @@ def cell_target_energy(cell: CellSpec, problem: RotamerProblem) -> float:
     return brute_force(problem, cap=BRUTE_FORCE_CAP).ground_energy
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
     """Execute one cell and write its summary and records."""
     start = time.perf_counter()
@@ -109,15 +99,18 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         "key": cell_key(cell),
         "series": cell.series_name(),
         "num_qubits": problem.num_qubits,
-        "target_energy": _jsonable(target),
+        "target_energy": target,
         "cost_unit": cost_unit,
         "per_iteration": per_iteration,
-        "aggregate": {k: _jsonable(v) for k, v in result.summary_dict().items()},
+        "aggregate": result.summary_dict(),
         "wall_time": time.perf_counter() - start,
     }
-    with open(cell_dir / "summary.json", "w") as fh:
+    # the summary's existence marks the cell done, so it appears whole or not at all
+    tmp = cell_dir / "summary.json.tmp"
+    with open(tmp, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, cell_dir / "summary.json")
     return summary
 
 

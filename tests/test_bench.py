@@ -391,6 +391,27 @@ class TestOrchestrate:
         for path, blob in snapshots.items():
             assert path.read_bytes() == blob
 
+    def test_interrupted_summary_write_is_rerun(self, tmp_path, monkeypatch):
+        plan = BenchPlan(name="one", cells=tiny_plan().cells[:1])
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            raise OSError("disk full")
+
+        monkeypatch.setattr("rotpack.bench.orchestrate.json.dump", torn_dump)
+        out = tmp_path / "run"
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(plan, out)
+        assert not list((out / "cells").glob("*/summary.json"))
+        monkeypatch.undo()
+
+        (rerun,) = run_experiment(plan, out)
+        index = json.loads((out / "index.json").read_text())
+        assert [c["status"] for c in index["cells"]] == ["ran"]
+        (clean,) = run_experiment(plan, tmp_path / "clean")
+        del rerun["wall_time"], clean["wall_time"]
+        assert rerun == clean
+
     def test_load_summaries_sorts_by_series_then_size(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(tiny_plan(), out)

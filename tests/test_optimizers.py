@@ -25,6 +25,12 @@ def drive(opt, objective, budget=10000):
     return best_x, best_v, evals
 
 
+def failing_minimize(fun, x0, **kwargs):
+    """Stand-in for scipy's minimize that fails after one evaluation."""
+    fun(x0)
+    raise ValueError("scipy failed")
+
+
 class TestScipyAskTell:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
@@ -128,11 +134,6 @@ class TestScipyAskTell:
     def test_close_in_any_state(self, method, state, monkeypatch):
         before = threading.active_count()
         if state == "worker error":
-
-            def failing_minimize(fun, x0, **kwargs):
-                fun(x0)
-                raise ValueError("scipy failed")
-
             monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
         opt = make_optimizer(method, np.zeros(2), 0 if state == "budget 0" else 20)
         if state == "ended":
@@ -150,10 +151,6 @@ class TestScipyAskTell:
         assert opt.ask() is None
 
     def test_close_raises_an_unreported_worker_error(self, monkeypatch):
-        def failing_minimize(fun, x0, **kwargs):
-            fun(x0)
-            raise ValueError("scipy failed")
-
         monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
         opt = make_optimizer("cobyla", np.zeros(2), 20)
         opt.ask()
@@ -185,10 +182,6 @@ class TestScipyAskTell:
         assert opt.ask() is None
 
     def test_worker_error_raised_once_by_ask(self, monkeypatch):
-        def failing_minimize(fun, x0, **kwargs):
-            fun(x0)
-            raise ValueError("scipy failed")
-
         monkeypatch.setattr("rotpack.optimizers.minimize", failing_minimize)
         opt = make_optimizer("cobyla", np.zeros(2), 20)
         assert opt.ask() is not None

@@ -66,7 +66,8 @@ def brute_force(problem: RotamerProblem, cap: int = 10**8) -> BruteForceResult:
     total = int(np.prod(counts, dtype=object))
     if total > cap:
         raise ValueError(
-            f"{total} assignments exceed the enumeration cap of {cap}"
+            f"{total} assignments exceed the enumeration cap of {cap};"
+            " set target_energy explicitly"
         )
     n_res = problem.num_residues
     offsets = np.asarray(problem.block_offsets, dtype=np.int64)

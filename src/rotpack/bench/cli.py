@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="trajectory parallelism (default: BENCH_WORKERS or 1)",
+        default=1,
+        help="trajectory parallelism (default: 1)",
     )
 
     p_fit = sub.add_parser("fit", help="fit cost scaling per series")
@@ -118,7 +118,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "depth-table":
-        rows = depth_table(args.max_size)
+        try:
+            rows = depth_table(args.max_size)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
         print(format_depth_table(rows))
         return 0
 
@@ -127,13 +131,17 @@ def main(argv: list[str] | None = None) -> int:
         if not summaries:
             print("no cell summaries found", file=sys.stderr)
             return 1
-        written = write_reports(
-            summaries,
-            args.in_dir,
-            fit_start_m=args.fit_start_m,
-            cpu_ghz=args.cpu_ghz,
-            qpu_khz=args.qpu_khz,
-        )
+        try:
+            written = write_reports(
+                summaries,
+                args.in_dir,
+                fit_start_m=args.fit_start_m,
+                cpu_ghz=args.cpu_ghz,
+                qpu_khz=args.qpu_khz,
+            )
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
         for path in written:
             print(path)
         return 0

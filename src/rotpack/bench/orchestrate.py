@@ -21,7 +21,13 @@ import time
 from pathlib import Path
 
 from ..baselines import SaConfig, brute_force, sa_ensemble
-from ..driver import FirstGroundState, QaoaConfig, run_ensemble, write_records_jsonl
+from ..driver import (
+    FirstGroundState,
+    ParameterConvergence,
+    QaoaConfig,
+    run_ensemble,
+    write_records_jsonl,
+)
 from ..problem import RotamerProblem, random_problem
 from .plans import BenchPlan, CellSpec, cell_key
 
@@ -43,35 +49,44 @@ def cell_problem(cell: CellSpec) -> RotamerProblem:
         seed=cell.problem_seed,
         self_scale=cell.self_scale,
         pair_scale=cell.pair_scale,
-        decay=cell.decay,
     )
 
 
 def cell_target_energy(cell: CellSpec, problem: RotamerProblem) -> float:
     if cell.target_energy is not None:
         return cell.target_energy
-    total = 1
-    for c in problem.rotamer_counts:
-        total *= c
-    if total > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"cell has {total} assignments, too many to enumerate;"
-            " set target_energy explicitly"
-        )
     return brute_force(problem, cap=BRUTE_FORCE_CAP).ground_energy
+
+
+def _solver_config(cell: CellSpec) -> QaoaConfig | SaConfig:
+    """The cell's solver config; raises ValueError naming the cell if it is malformed.
+
+    A QAOA config comes back with a placeholder stop mode; ``run_cell`` sets
+    the target once it is known.
+    """
+    try:
+        if cell.solver == "qaoa":
+            return QaoaConfig(**cell.qaoa, stop_mode=ParameterConvergence())
+        return SaConfig(**cell.sa)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"cell {cell_key(cell)} ({cell.solver},"
+            f" {cell.num_residues}x{cell.rotamers}): {exc}"
+        ) from exc
 
 
 def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
     """Execute one cell and write its summary and records."""
     start = time.perf_counter()
+    config = _solver_config(cell)
     problem = cell_problem(cell)
     target = cell_target_energy(cell, problem)
 
     cell_dir.mkdir(parents=True, exist_ok=True)
 
     if cell.solver == "qaoa":
-        config = QaoaConfig(
-            **cell.qaoa, stop_mode=FirstGroundState(target_energy=target)
+        config = dataclasses.replace(
+            config, stop_mode=FirstGroundState(target_energy=target)
         )
         result = run_ensemble(
             problem, config, cell.trajectories, workers=workers
@@ -80,7 +95,6 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         cost_unit = "shots"
         per_iteration = config.resolved_shots(problem.num_qubits)
     else:
-        config = SaConfig(**cell.sa)
         method = "gsa" if cell.solver == "sa" else "discrete"
         result = sa_ensemble(
             problem,
@@ -115,14 +129,17 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
 
 
 def run_experiment(
-    plan: BenchPlan, out_dir: str | Path, *, workers: int | None = None
+    plan: BenchPlan, out_dir: str | Path, *, workers: int = 1
 ) -> list[dict]:
-    """Run every cell of a plan, skipping cells already summarized."""
+    """Run every cell of a plan, skipping cells already summarized.
+
+    Every cell's solver settings are checked before any cell runs.
+    """
+    for cell in plan.cells:
+        _solver_config(cell)
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = int(os.environ.get("BENCH_WORKERS", "1"))
 
     summaries = []
     index = {"plan": plan.name, "cells": []}

@@ -15,22 +15,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 SOLVERS = ("qaoa", "sa", "sa-discrete")
-
-_CELL_DEFAULTS: dict[str, Any] = {
-    "solver": "qaoa",
-    "trajectories": 8,
-    "problem_seed": 7,
-    "decay": 0.0,
-    "self_scale": 1.0,
-    "pair_scale": 1.0,
-    "target_energy": None,
-    "series": None,
-    "qaoa": {},
-    "sa": {},
-}
 
 
 @dataclass(frozen=True)
@@ -40,6 +26,8 @@ class CellSpec:
     solver: str = "qaoa"
     trajectories: int = 8
     problem_seed: int = 7
+    # cell instances are nearest-neighbour only, so decay would change nothing
+    # but the key; it must be 0 and stays a field because every key hashes it
     decay: float = 0.0
     self_scale: float = 1.0
     pair_scale: float = 1.0
@@ -55,6 +43,8 @@ class CellSpec:
             raise ValueError("cells need at least one residue and one rotamer")
         if self.trajectories < 1:
             raise ValueError("trajectories must be at least 1")
+        if self.decay != 0.0:
+            raise ValueError("decay must be 0: cell instances are nearest-neighbour only")
 
     @property
     def num_qubits(self) -> int:
@@ -95,11 +85,11 @@ def load_plan(path: str | Path) -> BenchPlan:
         raise ValueError("plan is missing a name")
     if not isinstance(raw.get("cells"), list) or not raw["cells"]:
         raise ValueError("plan has no cells")
-    defaults = {**_CELL_DEFAULTS, **raw.get("defaults", {})}
+    names = {f.name for f in dataclasses.fields(CellSpec)}
     cells = []
     for entry in raw["cells"]:
-        merged = {**defaults, **entry}
-        unknown = set(merged) - set(_CELL_DEFAULTS) - {"num_residues", "rotamers"}
+        merged = {**raw.get("defaults", {}), **entry}
+        unknown = set(merged) - names
         if unknown:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
         cells.append(CellSpec(**merged))

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from ..circuits import AnsatzSpec, assemble_ansatz
 from ..depth import depth_report, schedule_trace, uniform_problem
-from ..qubo import default_penalty
 from .fits import ScalingFit, default_fit_start, estimate_crossover, fit_scaling
 
 __all__ = [
@@ -45,7 +44,7 @@ def _fmt6(x: float | None) -> str:
     return "" if x is None else format(x, ".6g")
 
 
-def depth_table(max_size: int = 7, *, with_traces: bool = True) -> list[dict]:
+def depth_table(max_size: int = 7) -> list[dict]:
     """Measured vs reference depths for the square instances.
 
     One row per (regime, size); rows that disagree with the reference get
@@ -72,16 +71,11 @@ def depth_table(max_size: int = 7, *, with_traces: bool = True) -> list[dict]:
             row["match"] = ref is None or (
                 row["cd"] == ref[0] and row["cd_sp"] == ref[1]
             )
-            if not row["match"] and with_traces:
-                spec = AnsatzSpec(
-                    regime=regime,
-                    p=1,
-                    penalty=default_penalty(problem)
-                    if regime == "penalty"
-                    else None,
+            if not row["match"]:
+                circuit = assemble_ansatz(
+                    problem, AnsatzSpec(regime=regime, p=1), [0.5, 0.5]
                 )
-                circuit = assemble_ansatz(problem, spec, [0.5, 0.5])
-                row["trace"] = schedule_trace(circuit, include_state_prep=True)
+                row["trace"] = schedule_trace(circuit)
             rows.append(row)
     return rows
 
@@ -282,7 +276,16 @@ def write_reports(
     qpu_khz: float | None = None,
 ) -> list[Path]:
     """Write scaling.csv, convergence_tables.csv, fits.json, and, when both
-    device rates are given, crossover.json. Returns the written paths."""
+    device rates are given, crossover.json. Returns the written paths.
+
+    A crossover that cannot be estimated raises ValueError before any file
+    is written.
+    """
+    crossover = None
+    if cpu_ghz is not None and qpu_khz is not None:
+        crossover = crossover_report(
+            summaries, cpu_ghz=cpu_ghz, qpu_khz=qpu_khz, fit_start_m=fit_start_m
+        )
     reports = Path(out_dir) / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     written = []
@@ -306,20 +309,10 @@ def write_reports(
         fh.write("\n")
     written.append(fits_path)
 
-    if cpu_ghz is not None and qpu_khz is not None:
+    if crossover is not None:
         crossover_path = reports / "crossover.json"
         with open(crossover_path, "w") as fh:
-            json.dump(
-                crossover_report(
-                    summaries,
-                    cpu_ghz=cpu_ghz,
-                    qpu_khz=qpu_khz,
-                    fit_start_m=fit_start_m,
-                ),
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(crossover, fh, indent=2, sort_keys=True)
             fh.write("\n")
         written.append(crossover_path)
     return written

@@ -61,6 +61,9 @@ _GATE_SHAPES = {
 # CNOT cost of each two-qubit kind in the depth accounting.
 CNOT_COST = {"rzz": 2, "xy": 2, "a": 3, "cx": 1}
 
+# Kinds diagonal in the computational basis; gates of these kinds commute.
+DIAGONAL_KINDS = frozenset({"rz", "rzz"})
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -206,8 +209,6 @@ def build_mixer(
     regime: str,
     blocks: Sequence[tuple[int, int]],
     beta: float,
-    *,
-    num_qubits: int | None = None,
 ) -> Circuit:
     """One mixer application exp(-i * beta * H_M).
 
@@ -217,7 +218,7 @@ def build_mixer(
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    m = num_qubits if num_qubits is not None else max(o + n for o, n in blocks)
+    m = max(o + n for o, n in blocks)
     gates: list[Gate] = []
     if regime in ("baseline", "penalty"):
         gates = [Gate("rx", (q,), (2.0 * beta,)) for q in range(m)]
@@ -239,7 +240,6 @@ def build_initial_state(
     blocks: Sequence[tuple[int, int]],
     *,
     config: Sequence[int] | None = None,
-    num_qubits: int | None = None,
 ) -> Circuit:
     """State preparation fragment for a regime.
 
@@ -252,7 +252,7 @@ def build_initial_state(
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    m = num_qubits if num_qubits is not None else max(o + n for o, n in blocks)
+    m = max(o + n for o, n in blocks)
     gates: list[Gate] = []
     if regime in ("baseline", "penalty"):
         chosen = config if config is not None else [0] * len(blocks)
@@ -328,16 +328,12 @@ def assemble_ansatz(
         raise ValueError(f"expected {2 * spec.p} parameters, got {params.shape}")
     h = ansatz_hamiltonian(problem, spec)
     blocks = problem.blocks
-    init = build_initial_state(
-        spec.regime, blocks, config=spec.init_config, num_qubits=problem.num_qubits
-    )
+    init = build_initial_state(spec.regime, blocks, config=spec.init_config)
     gates = list(init.gates)
     phase = init.phase
     for k in range(spec.p):
         cost = build_cost_unitary(h, float(params[2 * k]))
-        mixer = build_mixer(
-            spec.regime, blocks, float(params[2 * k + 1]), num_qubits=problem.num_qubits
-        )
+        mixer = build_mixer(spec.regime, blocks, float(params[2 * k + 1]))
         gates.extend(cost.gates)
         gates.extend(mixer.gates)
         phase += cost.phase

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CNOT_COST, AnsatzSpec, Circuit, Gate, assemble_ansatz
+from .circuits import CNOT_COST, DIAGONAL_KINDS, AnsatzSpec, Circuit, Gate, assemble_ansatz
 from .problem import RotamerProblem
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "uniform_problem",
 ]
 
-_DIAGONAL = frozenset({"rz", "rzz"})
 _TRANSVERSE = frozenset({"x", "rx"})
 
 
@@ -50,7 +49,7 @@ def commutes(a: Gate, b: Gate) -> bool:
     """
     if not set(a.qubits) & set(b.qubits):
         return True
-    if a.kind in _DIAGONAL and b.kind in _DIAGONAL:
+    if a.kind in DIAGONAL_KINDS and b.kind in DIAGONAL_KINDS:
         return True
     if a.kind in _TRANSVERSE and b.kind in _TRANSVERSE:
         return True
@@ -172,9 +171,9 @@ def depth_report(
     }
 
 
-def schedule_trace(circuit: Circuit, include_state_prep: bool = True) -> list[dict]:
-    """Human-readable layer listing used in mismatch reports."""
-    gates = circuit.gates if include_state_prep else circuit.variational_gates
+def schedule_trace(circuit: Circuit) -> list[dict]:
+    """Human-readable layer listing of the whole circuit, used in mismatch reports."""
+    gates = circuit.gates
     rows = []
     for layer_index, layer in enumerate(schedule(gates)):
         rows.append(

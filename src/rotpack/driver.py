@@ -24,6 +24,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -196,7 +197,7 @@ def optimize(
     spec = AnsatzSpec(
         regime=config.regime,
         p=config.p,
-        penalty=config.penalty if config.regime == "penalty" else None,
+        penalty=config.penalty,
         init_config=config.init_config,
     )
     h_opt = ansatz_hamiltonian(problem, spec)
@@ -204,7 +205,7 @@ def optimize(
 
     if config.backend == "statevector":
         init_circuit = build_initial_state(
-            spec.regime, problem.blocks, config=spec.init_config, num_qubits=m
+            spec.regime, problem.blocks, config=spec.init_config
         )
         state0 = sv.run_circuit(init_circuit)
         # the cost layer is diagonal: apply it as one exact phase profile
@@ -215,7 +216,7 @@ def optimize(
             for k in range(spec.p):
                 state *= np.exp(-1j * float(params[2 * k]) * phase_profile)
                 mixer = build_mixer(
-                    spec.regime, problem.blocks, float(params[2 * k + 1]), num_qubits=m
+                    spec.regime, problem.blocks, float(params[2 * k + 1])
                 )
                 for g in mixer.gates:
                     sv.apply_gate(state, g)
@@ -371,11 +372,6 @@ def aggregate_records(records: Sequence[RunRecord]) -> EnsembleResult:
     )
 
 
-def _ensemble_worker(args: tuple[RotamerProblem, QaoaConfig, int]) -> RunRecord:
-    problem, config, tid = args
-    return optimize(problem, config, trajectory_id=tid)
-
-
 def run_ensemble(
     problem: RotamerProblem,
     config: QaoaConfig,
@@ -390,8 +386,7 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(
-                    _ensemble_worker,
-                    [(problem, config, tid) for tid in range(num_trajectories)],
+                    optimize, repeat(problem), repeat(config), range(num_trajectories)
                 )
             )
     else:

@@ -27,14 +27,13 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_matrix
+from .circuits import DIAGONAL_KINDS, Circuit, Gate, gate_matrix
 
 __all__ = ["MpsState", "run_circuit_mps"]
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-_DIAGONAL_KINDS = frozenset({"rz", "rzz"})
 
 
 class MpsState:
@@ -151,7 +150,7 @@ class MpsState:
         phases: dict[int, np.ndarray] = {}
         couplings: dict[int, dict[int, np.ndarray]] = {}
         for gate in gates:
-            if gate.kind not in _DIAGONAL_KINDS:
+            if gate.kind not in DIAGONAL_KINDS:
                 raise ValueError(f"{gate.kind} gate is not diagonal")
             if any(q >= self.num_qubits for q in gate.qubits):
                 raise IndexError(f"gate {gate} out of range")
@@ -300,7 +299,7 @@ def run_circuit_mps(
     :meth:`MpsState.apply_gate`.
     """
     state = MpsState(circuit.num_qubits, max_bond=max_bond, threshold=threshold)
-    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in _DIAGONAL_KINDS):
+    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in DIAGONAL_KINDS):
         if diagonal:
             state.apply_diagonal_run(list(run))
         else:

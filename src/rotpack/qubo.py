@@ -39,10 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QuboMatrix:
-    """Symmetric QUBO with block bookkeeping and an additive constant."""
+    """Symmetric QUBO with an additive constant."""
 
     matrix: np.ndarray
-    block_offsets: tuple[int, ...]
     offset: float = 0.0
     penalty: float | None = None
 
@@ -54,7 +53,6 @@ class QuboMatrix:
             raise ValueError("QUBO matrix must be symmetric")
         q.setflags(write=False)
         object.__setattr__(self, "matrix", q)
-        object.__setattr__(self, "block_offsets", tuple(self.block_offsets))
 
     def energy(self, bits: Sequence[int]) -> float:
         x = np.asarray(bits, dtype=float)
@@ -89,12 +87,7 @@ def build_qubo(problem: RotamerProblem, penalty: float | None = None) -> QuboMat
             q[block, block] += penalty * (1.0 - np.eye(n))
             q[block, block] -= penalty * np.eye(n)
             constant += penalty
-    return QuboMatrix(
-        matrix=q,
-        block_offsets=offs,
-        offset=constant,
-        penalty=penalty,
-    )
+    return QuboMatrix(matrix=q, offset=constant, penalty=penalty)
 
 
 def default_penalty(problem: RotamerProblem) -> float:

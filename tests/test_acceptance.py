@@ -118,7 +118,7 @@ def test_circuit_depth_table():
         ("baseline", 6): 32,
         ("baseline", 7): 34,
     }
-    rows = depth_table(7, with_traces=True)
+    rows = depth_table(7)
     by_key = {(row["regime"], row["size"]): row for row in rows}
     problems = []
     for key, want in expected.items():

@@ -236,6 +236,8 @@ class TestPlans:
             CellSpec(num_residues=0, rotamers=2)
         with pytest.raises(ValueError, match="trajectories"):
             CellSpec(num_residues=2, rotamers=2, trajectories=0)
+        with pytest.raises(ValueError, match="decay must be 0"):
+            CellSpec(num_residues=2, rotamers=2, decay=0.5)
         with pytest.raises(ValueError, match="at least one cell"):
             BenchPlan(name="empty", cells=())
 
@@ -302,6 +304,17 @@ class TestPlans:
             )
         )
         with pytest.raises(ValueError, match=r"unknown cell fields: \['foo'\]"):
+            load_plan(path)
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "x",
+                    "defaults": {"trajectory": 3},
+                    "cells": [{"num_residues": 2, "rotamers": 2}],
+                }
+            )
+        )
+        with pytest.raises(ValueError, match=r"unknown cell fields: \['trajectory'\]"):
             load_plan(path)
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -411,6 +424,23 @@ class TestOrchestrate:
         (clean,) = run_experiment(plan, tmp_path / "clean")
         del rerun["wall_time"], clean["wall_time"]
         assert rerun == clean
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"solver": "qaoa", "qaoa": {"p": 1, "max_iterations": 3}},
+            {"solver": "sa-discrete", "sa": {"max_iteration": 50}},
+        ],
+        ids=["qaoa-without-regime", "sa-misspelled-key"],
+    )
+    def test_bad_cell_is_rejected_before_any_cell_runs(self, tmp_path, bad):
+        good = tiny_plan().cells[0]
+        bad_cell = CellSpec(num_residues=2, rotamers=3, **bad)
+        plan = BenchPlan(name="two", cells=(good, bad_cell))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=f"cell {cell_key(bad_cell)}"):
+            run_experiment(plan, out)
+        assert not (out / "cells" / cell_key(good)).exists()
 
     def test_load_summaries_sorts_by_series_then_size(self, tmp_path):
         out = tmp_path / "run"
@@ -535,6 +565,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("regime")
         assert "MISMATCH" not in out
+        assert main(["depth-table", "--max-size", "1"]) == 1
+        assert "max_size" in capsys.readouterr().err
+
+    def test_report_without_fittable_series_writes_no_crossover(
+        self, tmp_path, capsys
+    ):
+        # one point per series: neither can be fitted
+        for series, m in (("qaoa-xy-statevector", 4), ("sa-discrete", 6)):
+            cell_dir = tmp_path / "cells" / series
+            cell_dir.mkdir(parents=True)
+            summary = synthetic_summary(series, m, 10.0)
+            (cell_dir / "summary.json").write_text(json.dumps(summary))
+        code = main(
+            ["report", "--in", str(tmp_path), "--cpu-ghz", "1", "--qpu-khz", "10"]
+        )
+        assert code == 1
+        assert "no usable fit" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "crossover.json").exists()
 
     def test_run_and_report_commands(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

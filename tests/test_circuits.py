@@ -373,11 +373,6 @@ class TestMixer:
             (2, 0),
         ]
 
-    def test_explicit_width_override(self):
-        circ = build_mixer("baseline", [(0, 2)], 0.1, num_qubits=4)
-        assert circ.num_qubits == 4
-        assert len(circ.gates) == 4
-
     @given(problems(max_residues=3, max_rotamers=4, min_rotamers=2), st.floats(-2, 2))
     def test_xy_mixer_preserves_block_weight(self, problem, beta):
         prep = build_initial_state("xy", problem.blocks)

@@ -64,7 +64,7 @@ class TestQuboAssembly:
 
     def test_matrix_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
-            QuboMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (0,))
+            QuboMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_energies_batch_matches_scalar(self):
         p = random_problem(3, 2, seed=9)
@@ -142,12 +142,12 @@ class TestQuboFidelity:
 def random_symmetric_qubo(m: int, seed: int) -> QuboMatrix:
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(m, m))
-    return QuboMatrix((a + a.T) / 2.0, block_offsets=(0,), offset=rng.uniform(-1, 1))
+    return QuboMatrix((a + a.T) / 2.0, offset=rng.uniform(-1, 1))
 
 
 class TestIsingMapping:
     def test_single_variable(self):
-        q = QuboMatrix(np.array([[2.0]]), (0,), offset=0.5)
+        q = QuboMatrix(np.array([[2.0]]), offset=0.5)
         h = qubo_to_ising(q)
         assert h.fields == pytest.approx([1.0])
         assert h.constant == pytest.approx(1.5)
@@ -192,7 +192,7 @@ class TestEnergyTable:
 
     def test_index_convention_lsb(self):
         # energy of index 1 must be the energy of bit pattern (1, 0, ...)
-        q = QuboMatrix(np.diag([1.0, 10.0]), (0,))
+        q = QuboMatrix(np.diag([1.0, 10.0]))
         table = all_bitstring_energies(qubo_to_ising(q))
         assert table[1] == pytest.approx(1.0)
         assert table[2] == pytest.approx(10.0)

@@ -43,8 +43,17 @@ class CellSpec:
             raise ValueError("cells need at least one residue and one rotamer")
         if self.trajectories < 1:
             raise ValueError("trajectories must be at least 1")
+        # the key hashes the JSON text, so 0 and 0.0 must not make two cells
+        for name in ("decay", "self_scale", "pair_scale", "target_energy"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if self.decay != 0.0:
             raise ValueError("decay must be 0: cell instances are nearest-neighbour only")
+        if self.qaoa and self.solver != "qaoa":
+            raise ValueError(f"a {self.solver} cell takes no qaoa settings")
+        if self.sa and self.solver == "qaoa":
+            raise ValueError("a qaoa cell takes no sa settings")
 
     @property
     def num_qubits(self) -> int:

@@ -3,18 +3,25 @@
 The state is a chain of rank-3 tensors (left bond, physical, right bond),
 site q holding qubit q, kept in mixed-canonical form around a moving
 orthogonality center. Two-qubit gates contract the two neighboring tensors,
-apply the 4x4 unitary, and split back with an SVD truncated to the bond cap
-and singular-value threshold; the relative weight thrown away accumulates
-in ``discarded_weight``.
+apply the 4x4 unitary (only its diagonal for a cost-layer coupling), and
+split back with an SVD truncated to the bond cap and singular-value
+threshold; the relative weight thrown away accumulates in
+``discarded_weight``.
 
 Qubits that are not neighbors are brought together with SWAP updates that
-cost simulator time but never appear in circuit depth accounting. A run of
-consecutive ``rz``/``rzz`` gates (a cost layer) is diagonal, so its gates
-commute: ``run_circuit_mps`` hands each such run to
+cost simulator time but never appear in circuit depth accounting; a swap
+update exchanges the two qubits' sites after applying whatever gate it
+carries. A run of consecutive ``rz``/``rzz`` gates (a cost layer) is
+diagonal, so its gates commute: ``run_circuit_mps`` hands each such run to
 ``MpsState.apply_diagonal_run``, which walks each lower qubit of the run's
 couplings once to its farthest partner and back, applying every coupling
-inside the swap that passes its partner. Every other two-qubit gate is
-routed on its own, its higher qubit swapped next to the lower one and back.
+inside the swap that passes its partner. Every other run is applied in
+block-major order: grouped by connected set of qubits, lowest set first,
+each gate keeping its place within its set. Sets act on disjoint qubits,
+so this is the same unitary, but the orthogonality center finishes one set
+(for ``xy``, one residue's ring mixer or state preparation) before moving
+on instead of crossing the chain for every color. Each such gate is routed
+on its own, its higher qubit swapped next to the lower one and back.
 Either way every qubit ends at its home site, and each split leaves the
 orthogonality center on the side the route moves toward, so a route pays no
 QR shifts between its steps.
@@ -31,9 +38,8 @@ from .circuits import DIAGONAL_KINDS, Circuit, Gate, gate_matrix
 
 __all__ = ["MpsState", "run_circuit_mps"]
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+# a split adding less than this relative weight is round-off, not truncation
+_EPS = np.finfo(float).eps
 
 
 class MpsState:
@@ -120,7 +126,7 @@ class MpsState:
         matrix = gate_matrix(gate)
         if len(gate.qubits) == 1:
             q = gate.qubits[0]
-            self.tensors[q] = np.einsum("ab,lbr->lar", matrix, self.tensors[q])
+            self.tensors[q] = np.matmul(matrix, self.tensors[q])
             return
         qa, qb = gate.qubits
         lo, hi = min(qa, qb), max(qa, qb)
@@ -131,10 +137,10 @@ class MpsState:
             matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         # route hi next to lo, apply, route back
         for site in range(hi - 1, lo, -1):
-            self._apply_adjacent(site, _SWAP, swap=True, center_left=True)
+            self._apply_adjacent(site, swap=True, center_left=True)
         self._apply_adjacent(lo, matrix)
         for site in range(lo + 1, hi):
-            self._apply_adjacent(site, _SWAP, swap=True)
+            self._apply_adjacent(site, swap=True)
 
     def apply_diagonal_run(self, gates: Sequence[Gate]) -> None:
         """Apply commuting ``rz``/``rzz`` gates, routing each lower qubit once.
@@ -154,7 +160,7 @@ class MpsState:
                 raise ValueError(f"{gate.kind} gate is not diagonal")
             if any(q >= self.num_qubits for q in gate.qubits):
                 raise IndexError(f"gate {gate} out of range")
-            diag = np.diag(gate_matrix(gate))
+            diag = gate_matrix(gate).diagonal()
             if len(gate.qubits) == 1:
                 table, q = phases, gate.qubits[0]
             else:
@@ -169,29 +175,28 @@ class MpsState:
             far = max(partners)
             # qubit lo sits at ``site`` and passes qubit site + 1
             for site in range(lo, far - 1):
-                diag = partners.get(site + 1)
-                matrix = _SWAP if diag is None else _SWAP * diag
-                self._apply_adjacent(site, matrix, swap=True)
+                self._apply_adjacent(site, partners.get(site + 1), swap=True)
             # the center follows the walk home, then stays on lo + 1, where
             # the next lower qubit's walk starts
-            self._apply_adjacent(far - 1, np.diag(partners[far]), center_left=far - 1 > lo)
+            self._apply_adjacent(far - 1, partners[far], center_left=far - 1 > lo)
             for site in range(far - 2, lo - 1, -1):
-                self._apply_adjacent(site, _SWAP, swap=True, center_left=site > lo)
+                self._apply_adjacent(site, swap=True, center_left=site > lo)
 
     def _apply_adjacent(
         self,
         site: int,
-        matrix: np.ndarray,
+        op: np.ndarray | None = None,
         *,
         swap: bool = False,
         center_left: bool = False,
     ) -> None:
-        """Apply a 4x4 unitary on (site, site+1), index = 2*bit_left + bit_right.
+        """Apply ``op`` on (site, site+1) and split the pair back in two.
 
-        ``swap`` marks a unitary that ends by exchanging the two qubits; it
-        is only counted. The orthogonality center ends on the left site with
-        ``center_left`` and on the right one otherwise: the side the route
-        moves toward next.
+        ``op`` is a 4x4 unitary, or the length-4 diagonal of one, indexed
+        2*bit_left + bit_right; None applies nothing. ``swap`` then
+        exchanges the two qubits' sites. The orthogonality center ends on
+        the left site with ``center_left`` and on the right one otherwise:
+        the side the route moves toward next.
         """
         # either site may hold the center: the pair's contraction is then
         # the whole state's center block
@@ -202,24 +207,27 @@ class MpsState:
         left, right = self.tensors[site], self.tensors[site + 1]
         l = left.shape[0]
         r = right.shape[2]
-        theta = np.einsum("lpa,aqr->lpqr", left, right).reshape(l, 4, r)
-        theta = np.einsum("st,ltr->lsr", matrix, theta)
-        u, s, vh = np.linalg.svd(
-            theta.reshape(l, 2, 2, r).reshape(l * 2, 2 * r),
-            full_matrices=False,
-        )
-        total = float(np.sum(s**2))
-        keep = int(np.sum(s > self.threshold * s[0])) if s[0] > 0 else 1
+        theta = (left.reshape(2 * l, -1) @ right.reshape(-1, 2 * r)).reshape(l, 4, r)
+        if op is not None:
+            if op.ndim == 1:
+                theta *= op[:, None]
+            else:
+                theta = np.matmul(op, theta)
+        if swap:
+            theta = theta.reshape(l, 2, 2, r).transpose(0, 2, 1, 3)
+        u, s, vh = np.linalg.svd(theta.reshape(2 * l, 2 * r), full_matrices=False)
+        keep = int(np.count_nonzero(s > self.threshold * s[0])) if s[0] > 0 else 1
         keep = max(keep, 1)
         if self.max_bond is not None:
             keep = min(keep, self.max_bond)
-        kept = float(np.sum(s[:keep] ** 2))
+        weights = s * s
+        total = float(weights.sum())
+        kept = float(weights[:keep].sum())
         if total > 0.0:
             # summed from the dropped values, so an exact split adds nothing
-            # (total - kept is round-off of either sign there); increments at
-            # round-off level are not truncation and are left out
-            dropped = float(np.sum(s[keep:] ** 2)) / total
-            if dropped > np.finfo(float).eps:
+            # (total - kept is round-off of either sign there)
+            dropped = float(weights[keep:].sum()) / total
+            if dropped > _EPS:
                 self.discarded_weight += dropped
         s = s[:keep] / np.sqrt(kept)
         if center_left:
@@ -295,16 +303,37 @@ def run_circuit_mps(
     """Simulate a circuit from |0...0> as an MPS.
 
     Each maximal run of consecutive ``rz``/``rzz`` gates goes to
-    :meth:`MpsState.apply_diagonal_run`; every other gate to
-    :meth:`MpsState.apply_gate`.
+    :meth:`MpsState.apply_diagonal_run`; every other run goes gate by gate
+    to :meth:`MpsState.apply_gate` in block-major order.
     """
     state = MpsState(circuit.num_qubits, max_bond=max_bond, threshold=threshold)
     for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in DIAGONAL_KINDS):
         if diagonal:
             state.apply_diagonal_run(list(run))
         else:
-            for gate in run:
+            for gate in _block_major(list(run)):
                 state.apply_gate(gate)
     if circuit.phase != 0.0:
         state.scale(np.exp(1j * circuit.phase))
     return state
+
+
+def _block_major(gates: list[Gate]) -> list[Gate]:
+    """The gates grouped by connected set of qubits, lowest set first.
+
+    Gates of different sets act on disjoint qubits, so the reordered run is
+    the same unitary; within a set the gates keep their order.
+    """
+    root: dict[int, int] = {}
+
+    def find(q: int) -> int:
+        while root.get(q, q) != q:
+            q = root[q]
+        return q
+
+    for gate in gates:
+        # each set's root is its lowest qubit
+        first, *rest = sorted(find(q) for q in gate.qubits)
+        for other in rest:
+            root[other] = first
+    return sorted(gates, key=lambda g: find(g.qubits[0]))

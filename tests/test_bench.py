@@ -265,6 +265,18 @@ class TestPlans:
         assert cell_key(base) != cell_key(bumped)
         assert len(cell_key(base)) == 16
 
+    def test_one_cell_has_one_key(self):
+        base = CellSpec(num_residues=3, rotamers=3)
+        for spelled in ({"decay": 0}, {"self_scale": 1}, {"pair_scale": 1}):
+            assert cell_key(CellSpec(num_residues=3, rotamers=3, **spelled)) == cell_key(base)
+        assert cell_key(CellSpec(num_residues=3, rotamers=3, target_energy=-2)) == cell_key(
+            CellSpec(num_residues=3, rotamers=3, target_energy=-2.0)
+        )
+        with pytest.raises(ValueError, match="takes no qaoa settings"):
+            CellSpec(num_residues=3, rotamers=3, solver="sa", qaoa={"regime": "xy"})
+        with pytest.raises(ValueError, match="takes no sa settings"):
+            CellSpec(num_residues=3, rotamers=3, sa={"seed": 1})
+
     def test_load_plan_merges_defaults(self, tmp_path):
         doc = {
             "name": "demo",

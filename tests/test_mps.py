@@ -201,6 +201,109 @@ class TestRouting:
         assert state.two_site_updates < ref.two_site_updates
 
 
+def count_qr_shifts(monkeypatch) -> list[int]:
+    """Wrap both center shifts so each call adds one to the returned counter."""
+    count = [0]
+    for name in ("_shift_center_left", "_shift_center_right"):
+        shift = getattr(MpsState, name)
+
+        def counted(self, shift=shift):
+            count[0] += 1
+            shift(self)
+
+        monkeypatch.setattr(MpsState, name, counted)
+    return count
+
+
+class TestBlockMajor:
+    def test_runs_cut_qr_shifts(self, monkeypatch):
+        problem = random_problem(5, 5, seed=3)
+        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), [0.3] * 4)
+        shifts = count_qr_shifts(monkeypatch)
+        state = run_circuit_mps(circ)
+        assert shifts[0] == 126
+        # the same diagonal walks, with every other gate in circuit order
+        shifts[0] = 0
+        ref = MpsState(circ.num_qubits)
+        for diagonal, run in groupby(circ.gates, key=lambda g: g.kind in ("rz", "rzz")):
+            if diagonal:
+                ref.apply_diagonal_run(list(run))
+            else:
+                for gate in run:
+                    ref.apply_gate(gate)
+        assert shifts[0] == 371
+        assert state.two_site_updates == ref.two_site_updates == 650
+
+    def test_run_matches_dense_and_keeps_each_qubits_order(self, monkeypatch):
+        # sets {0, 1, 2} and {4, 5}, and a chain {3, 6, 7} linked through
+        # qubit 6, whose (3, 6) gate spans the {4, 5} set
+        gates = [Gate("rx", (q,), (0.2 + 0.3 * q,)) for q in range(8)]
+        gates += [
+            Gate("xy", (4, 5), (0.7,)),
+            Gate("cx", (6, 7)),
+            Gate("xy", (0, 2), (0.4,)),
+            Gate("a", (3, 6), (0.6, 0.2)),
+            Gate("cx", (2, 1)),
+            Gate("rx", (5,), (1.1,)),
+            Gate("xy", (7, 6), (-0.9,)),
+            Gate("a", (1, 0), (0.3, -0.5)),
+            Gate("xy", (5, 4), (0.8,)),
+            Gate("rx", (3,), (-0.4,)),
+        ]
+        circ = Circuit(num_qubits=8, gates=tuple(gates))
+        applied = []
+        apply_gate = MpsState.apply_gate
+
+        def recorded(self, gate):
+            applied.append(gate)
+            apply_gate(self, gate)
+
+        monkeypatch.setattr(MpsState, "apply_gate", recorded)
+        state = run_circuit_mps(circ, max_bond=None)
+        np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
+        assert sorted(applied, key=gates.index) == gates
+        for q in range(8):
+            assert [g for g in applied if q in g.qubits] == [g for g in gates if q in g.qubits]
+        # sets come lowest first, the run's gates after the opening rx layer
+        sets = [{0, 1, 2}, {3, 6, 7}, {4, 5}]
+        order = [next(i for i, qs in enumerate(sets) if g.qubits[0] in qs) for g in applied[8:]]
+        assert order == sorted(order)
+
+
+_SWAP_4X4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+class TestTwoSiteUpdate:
+    @pytest.mark.parametrize("kind", ["diagonal-then-swap", "swap", "diagonal", "general"])
+    def test_matches_dense_4x4_product(self, kind):
+        """Each path of ``_apply_adjacent`` equals applying the matching 4x4 matrix."""
+        rng = np.random.default_rng(5)
+
+        def rand(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        diag = np.exp(1j * rng.uniform(-math.pi, math.pi, size=4))
+        general = np.linalg.qr(rand(4, 4))[0]
+        op, swap, matrix = {
+            "diagonal-then-swap": (diag, True, _SWAP_4X4 * diag),
+            "swap": (None, True, _SWAP_4X4),
+            "diagonal": (diag, False, np.diag(diag)),
+            "general": (general, False, general),
+        }[kind]
+        state = MpsState(4, max_bond=None, threshold=0.0)
+        state.tensors = [rand(1, 2, 2), rand(2, 2, 3), rand(3, 2, 2), rand(2, 2, 1)]
+        state.center = 1
+        left, right = state.tensors[1], state.tensors[2]
+        theta = np.einsum("lpa,aqr->lpqr", left, right).reshape(2, 4, 2)
+        theta = np.einsum("st,ltr->lsr", matrix, theta)
+        expected = theta / np.linalg.norm(theta)
+        state._apply_adjacent(1, op, swap=swap)
+        got = np.einsum("lpa,aqr->lpqr", state.tensors[1], state.tensors[2]).reshape(2, 4, 2)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert state.center == 2
+        assert (state.two_site_updates, state.swap_updates) == (1, int(swap))
+
+
 class TestTruncation:
     def test_cap_forces_discard(self):
         circ = entangling_fixture()

@@ -19,8 +19,12 @@ trajectories reproduce in isolation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import multiprocessing
+import multiprocessing.forkserver
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -56,6 +60,9 @@ __all__ = [
 ]
 
 BACKENDS = ("statevector", "mps")
+
+# Environment variables that size the BLAS thread pool as numpy loads.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -204,23 +211,33 @@ def optimize(
     bare_qubo = build_qubo(problem)
 
     if config.backend == "statevector":
+        blocks = problem.blocks
         init_circuit = build_initial_state(
-            spec.regime, problem.blocks, config=spec.init_config
+            spec.regime, blocks, config=spec.init_config
         )
-        state0 = sv.run_circuit(init_circuit)
         # the cost layer is diagonal: apply it as one exact phase profile
-        phase_profile = all_bitstring_energies(h_opt)
+        if spec.regime == "xy":
+            # every block stays at weight one: keep only those amplitudes
+            state0 = sv.one_hot_state(init_circuit, blocks)
+            phase_profile = all_bitstring_energies(
+                h_opt, sv.one_hot_basis(blocks)
+            ).reshape(state0.shape)
+            sample_blocks = blocks
+            apply = functools.partial(sv.apply_one_hot_gate, blocks=blocks)
+        else:
+            state0 = sv.run_circuit(init_circuit)
+            phase_profile = all_bitstring_energies(h_opt)
+            sample_blocks = None
+            apply = sv.apply_gate
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
             state = state0.copy()
             for k in range(spec.p):
                 state *= np.exp(-1j * float(params[2 * k]) * phase_profile)
-                mixer = build_mixer(
-                    spec.regime, problem.blocks, float(params[2 * k + 1])
-                )
+                mixer = build_mixer(spec.regime, blocks, float(params[2 * k + 1]))
                 for g in mixer.gates:
-                    sv.apply_gate(state, g)
-            return sv.sample_state(state, shots, rng), {}
+                    apply(state, g)
+            return sv.sample_state(state, shots, rng, sample_blocks), {}
 
     else:
 
@@ -383,7 +400,7 @@ def run_ensemble(
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             records = list(
                 pool.map(
                     optimize, repeat(problem), repeat(config), range(num_trajectories)
@@ -395,6 +412,30 @@ def run_ensemble(
             for tid in range(num_trajectories)
         ]
     return aggregate_records(records)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers each run BLAS on one thread.
+
+    Forked workers would keep the parent's BLAS thread pool and, several
+    at a time, oversubscribe the CPUs. These fork from a server that
+    started with one BLAS thread and imported this module; the parent's
+    environment is restored once the server runs. The server lives as long
+    as the interpreter, so later pools reuse it.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def write_records_jsonl(records: Iterable, path: str | Path) -> None:

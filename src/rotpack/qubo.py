@@ -166,18 +166,26 @@ def qubo_to_ising(q: QuboMatrix) -> IsingHamiltonian:
     return IsingHamiltonian(couplings=couplings, fields=fields, constant=constant)
 
 
-def all_bitstring_energies(h: IsingHamiltonian) -> np.ndarray:
-    """Spin energies of every bitstring, indexed with qubit 0 as the LSB.
+# Largest energy table (and one-hot statevector basis) the package builds.
+MAX_TABLE_SIZE = 1 << 26
 
-    Builds the full 2^M table incrementally from the nonzero couplings, so
-    cost is O(nnz(J) * 2^M) rather than O(M^2 * 2^M). Intended for the
-    statevector regime (M up to the low twenties).
+
+def all_bitstring_energies(
+    h: IsingHamiltonian, indices: np.ndarray | None = None
+) -> np.ndarray:
+    """Spin energies of basis states given by index, qubit 0 as the LSB.
+
+    Without ``indices`` this is the full 2^M table, in index order. Each
+    state's energy is built from its own bits, from the nonzero couplings,
+    so cost is O(nnz(J) * size) rather than O(M^2 * size) and a state's
+    value does not depend on which other states are tabulated with it.
+    Refuses more than ``MAX_TABLE_SIZE`` states.
     """
     m = h.num_spins
-    if m > 26:
-        raise ValueError(f"refusing to tabulate 2^{m} energies")
-    size = 1 << m
-    idx = np.arange(size)
+    size = 1 << m if indices is None else np.size(indices)
+    if size > MAX_TABLE_SIZE:
+        raise ValueError(f"refusing to tabulate {size} energies")
+    idx = np.arange(size) if indices is None else np.ravel(indices)
     # z_i = +1 when bit i is 0
     z = np.empty((m, size), dtype=np.int8)
     for i in range(m):

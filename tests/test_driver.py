@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -25,6 +26,7 @@ from rotpack.driver import (
     run_ensemble,
     write_records_jsonl,
 )
+from rotpack.driver import _BLAS_THREADS, _worker_pool
 from rotpack.problem import decode, random_problem
 from rotpack.qubo import build_qubo, qubo_to_ising
 
@@ -392,6 +394,16 @@ class TestEnsemble:
         assert [strip(r) for r in seq.records] == [strip(r) for r in par.records]
         assert [r.trajectory_id for r in seq.records] == [0, 1, 2, 3]
         assert seq.convergence_ratio == 1.0
+
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with _worker_pool(2) as pool:
+            got = list(pool.map(os.getenv, _BLAS_THREADS))
+        assert got == ["1"] * len(_BLAS_THREADS)
+        # the parent's environment is as it was
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_records_jsonl(self, tmp_path):
         records = [make_record(trajectory_id=k) for k in range(3)]

@@ -1,18 +1,38 @@
-"""The xy ansatz on the statevector backend.
+"""The xy ansatz on the statevector backend, simulated as a one-hot state.
 
 Pinned fixed-budget trajectories: every ``RunRecord`` field but
 ``wall_time``, recorded from the dense 2^M simulation. The target sits
 100 below the ground energy, so each trajectory spends its whole budget
 (the 4x3 one restarts its optimizer once).
+
+The one-hot evolution is compared exactly (``np.array_equal``) with a
+dense reference: ``run_circuit`` of the state preparation, then per layer
+the full energy table's phase and the mixer gate by gate with
+``apply_gate``.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+import rotpack.statevector as sv
+from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import brute_force
-from rotpack.driver import FirstGroundState, QaoaConfig, optimize
-from rotpack.problem import random_problem
+from rotpack.circuits import (
+    AnsatzSpec,
+    Circuit,
+    Gate,
+    ansatz_hamiltonian,
+    build_initial_state,
+    build_mixer,
+)
+from rotpack.driver import FirstGroundState, QaoaConfig, init_params, optimize
+from rotpack.problem import decode, random_problem
+from rotpack.qubo import MAX_TABLE_SIZE, all_bitstring_energies
+
+# odd (3, 5) and even (4, 6) rings, and n=2 blocks, whose ring is one edge
+SHAPES = [(2, 2), (3, 3), (4, 4), (6, 3), (3, (2, 4, 3)), (2, (5, 6)), (4, (2, 3, 2, 4))]
 
 SEED = 9220990823635741239  # trajectory_seed(5, 1)
 
@@ -88,3 +108,157 @@ def test_fixed_budget_trajectories_are_pinned(case, fields):
         "trajectory_id": 1,
         **fields,
     }
+
+
+def dense_reference(problem, params):
+    """The xy ansatz state on all 2^M amplitudes."""
+    blocks = problem.blocks
+    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=len(params) // 2))
+    table = all_bitstring_energies(h)
+    state = sv.run_circuit(build_initial_state("xy", blocks))
+    for gamma, beta in zip(params[0::2], params[1::2]):
+        state *= np.exp(-1j * gamma * table)
+        for g in build_mixer("xy", blocks, beta).gates:
+            sv.apply_gate(state, g)
+    return state
+
+
+def assert_matches_dense(one_hot, dense, blocks):
+    basis = sv.one_hot_basis(blocks)
+    assert np.array_equal(one_hot.ravel(), dense[basis])
+    outside = np.ones(dense.size, dtype=bool)
+    outside[basis] = False
+    assert not dense[outside].any()
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_driver_evolution_matches_dense(shape, monkeypatch):
+    # the state the driver samples from in its first iteration, whose
+    # angles are the optimizer's starting point
+    sampled = []
+    sample_state = sv.sample_state
+
+    def capture(state, *args):
+        sampled.append(state.copy())
+        return sample_state(state, *args)
+
+    monkeypatch.setattr("rotpack.driver.sv.sample_state", capture)
+    problem = random_problem(*shape, seed=11)
+    config = QaoaConfig(regime="xy", p=3, seed=2, max_iterations=1)
+    optimize(problem, config, trajectory_id=4)
+    x0 = init_params(3, generator(trajectory_seed(2, 4)))
+    (state,) = sampled
+    assert state.shape == problem.rotamer_counts[::-1]
+    assert_matches_dense(state, dense_reference(problem, x0), problem.blocks)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_gates_phase_and_samples_match_dense(shape):
+    problem = random_problem(*shape, seed=5)
+    blocks = problem.blocks
+    params = np.random.default_rng(3).uniform(-2.0, 2.0, size=4)
+    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=2))
+    basis = sv.one_hot_basis(blocks)
+    state = sv.one_hot_state(build_initial_state("xy", blocks), blocks)
+    phase = all_bitstring_energies(h, basis).reshape(state.shape)
+    for gamma, beta in zip(params[0::2], params[1::2]):
+        state *= np.exp(-1j * gamma * phase)
+        for g in build_mixer("xy", blocks, beta).gates:
+            sv.apply_one_hot_gate(state, g, blocks)
+    dense = dense_reference(problem, params)
+    assert_matches_dense(state, dense, blocks)
+    got = sv.sample_state(state, 300, np.random.default_rng(8), blocks)
+    want = sv.sample_state(dense, 300, np.random.default_rng(8))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (2, 5), (5, 2), (4, 3), (6, 8)])
+@pytest.mark.parametrize("kind, params", [("a", (0.7, 0.4)), ("xy", (1.1,))])
+def test_any_gate_inside_a_block_matches_dense(kind, params, qubits):
+    # either listing order, adjacent or not, on a state with no symmetry
+    blocks = [(0, 2), (2, 4), (6, 3)]
+    rng = np.random.default_rng(17)
+    state = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    dense = np.zeros(1 << 9, dtype=complex)
+    dense[sv.one_hot_basis(blocks)] = state.ravel()
+    gate = Gate(kind, qubits, params)
+    sv.apply_one_hot_gate(state, gate, blocks)
+    assert_matches_dense(state, sv.apply_gate(dense, gate), blocks)
+
+
+def test_basis_is_sorted_and_one_hot():
+    blocks = random_problem(3, (2, 4, 3), seed=0).blocks
+    basis = sv.one_hot_basis(blocks)
+    assert basis.size == 2 * 4 * 3
+    assert np.all(np.diff(basis) > 0)
+    for off, n in blocks:
+        weight = sum((basis >> q) & 1 for q in range(off, off + n))
+        assert np.all(weight == 1)
+
+
+def test_x_gates_pick_the_starting_configuration():
+    blocks = [(0, 3), (3, 2)]
+    circuit = Circuit(5, (Gate("x", (4,)), Gate("x", (2,))))
+    state = sv.one_hot_state(circuit, blocks)
+    bits = sv.sample_state(state, 4, np.random.default_rng(0), blocks)
+    assert np.array_equal(bits, np.tile([0, 0, 1, 0, 1], (4, 1)))
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (Gate("rz", (0,), (0.3,)),),
+        (Gate("rx", (1,), (0.3,)),),
+        (Gate("rzz", (0, 1), (0.3,)),),
+        (Gate("cx", (0, 1)),),
+        (Gate("xy", (2, 3), (0.3,)),),  # spans the two blocks
+        (Gate("a", (1, 0), (0.3, 0.0)), Gate("x", (1,))),  # x after the prefix
+    ],
+    ids=["rz", "rx", "rzz", "cx", "two-blocks", "late-x"],
+)
+def test_gates_that_leave_the_subspace_are_rejected(gates):
+    blocks = [(0, 3), (3, 2)]
+    circuit = Circuit(5, (Gate("x", (0,)), Gate("x", (3,))) + gates)
+    with pytest.raises(ValueError):
+        sv.one_hot_state(circuit, blocks)
+
+
+@pytest.mark.parametrize("xs", [(0,), (0, 1, 3), (0, 3, 3)])
+def test_prep_must_set_one_qubit_per_block(xs):
+    circuit = Circuit(5, tuple(Gate("x", (q,)) for q in xs))
+    with pytest.raises(ValueError, match="one qubit of every block"):
+        sv.one_hot_state(circuit, [(0, 3), (3, 2)])
+
+
+def test_basis_cap_is_checked_before_allocating():
+    huge = [(7 * k, 7) for k in range(30)]  # 7^30 amplitudes: no allocation
+    just_over = [(2 * k, 2) for k in range(27)]
+    assert 2**27 > MAX_TABLE_SIZE
+    for blocks in (huge, just_over):
+        with pytest.raises(ValueError, match="exceeds"):
+            sv.one_hot_basis(blocks)
+        with pytest.raises(ValueError, match="exceeds"):
+            sv.one_hot_state(build_initial_state("xy", blocks), blocks)
+    with pytest.raises(ValueError, match="exceeds"):
+        optimize(random_problem(27, 2, seed=0), QaoaConfig(regime="xy"))
+    # 2^24 configurations, but on 64 qubits: indices would overflow int64
+    with pytest.raises(ValueError, match="63 qubits"):
+        sv.one_hot_basis([(8 * k, 8) for k in range(8)])
+
+
+def test_energies_at_indices_equal_the_table():
+    problem = random_problem(3, 3, seed=2)
+    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="penalty", p=1))
+    table = all_bitstring_energies(h)
+    idx = np.random.default_rng(1).integers(0, table.size, size=40)
+    assert np.array_equal(all_bitstring_energies(h, idx), table[idx])
+
+
+def test_5x7_trajectory_runs():
+    # 35 qubits: far past the dense table, 16,807 one-hot amplitudes
+    problem = random_problem(5, 7, seed=207)
+    rec = optimize(problem, QaoaConfig(regime="xy", p=2, seed=1, max_iterations=3))
+    assert rec.iterations_used == 3
+    bits = tuple(int(c) for c in rec.best_bitstring)
+    assert len(bits) == 35
+    assert problem.energy(decode(bits, problem)) == pytest.approx(rec.best_energy)

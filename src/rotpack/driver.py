@@ -418,10 +418,11 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool whose workers each run BLAS on one thread.
 
     Forked workers would keep the parent's BLAS thread pool and, several
-    at a time, oversubscribe the CPUs. These fork from a server that
-    started with one BLAS thread and imported this module; the parent's
-    environment is restored once the server runs. The server lives as long
-    as the interpreter, so later pools reuse it.
+    at a time, oversubscribe the CPUs; spawned ones would each import
+    numpy and scipy afresh. These fork from a server that started with one
+    BLAS thread and imported this module; the parent's environment is
+    restored once the server runs. The server lives as long as the
+    interpreter, so later pools reuse it.
     """
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([__name__])

@@ -571,7 +571,38 @@ class TestReports:
             crossover_report(summaries, cpu_ghz=1.0, qpu_khz=10.0)
 
 
+@pytest.fixture(scope="module")
+def smoke_tree(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("smoke") / "tree"
+    run_experiment(load_plan(ROOT / "data" / "sample_plan.json"), out)
+    return out
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["fit", "--in", "EMPTY"], "no cell summaries found\n"),
+            (
+                ["crossover", "--in", "EMPTY", "--cpu-ghz", "1", "--qpu-khz", "1"],
+                "no cell summaries found\n",
+            ),
+            (["report", "--in", "EMPTY"], "no cell summaries found\n"),
+            (
+                ["report", "--in", "SMOKE", "--cpu-ghz", "1", "--qpu-khz", "1"],
+                "no usable fit for series 'qaoa-xy-statevector'\n",
+            ),
+            (["depth-table", "--max-size", "1"], "max_size must be at least 2\n"),
+        ],
+        ids=["fit-empty", "crossover-empty", "report-empty", "report-smoke", "depth-1"],
+    )
+    def test_failing_command_prints_one_error_line(
+        self, argv, err, tmp_path, smoke_tree, capsys
+    ):
+        places = {"EMPTY": str(tmp_path), "SMOKE": str(smoke_tree)}
+        assert main([places.get(a, a) for a in argv]) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_depth_table_command(self, capsys):
         assert main(["depth-table", "--max-size", "3"]) == 0
         out = capsys.readouterr().out

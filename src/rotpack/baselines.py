@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._rng import generator, trajectory_seed
-from .driver import ensemble_cost
+from .driver import STOP_TOL, EnsembleResult, ensemble_cost
 from .problem import RotamerProblem, bits_to_string, encode, valid_mask
 from .qubo import QuboMatrix, build_qubo, default_penalty
 
@@ -39,7 +39,6 @@ __all__ = [
     "AnnealResult",
     "dual_anneal",
     "discrete_anneal",
-    "SaEnsembleResult",
     "sa_ensemble",
 ]
 
@@ -281,7 +280,7 @@ def dual_anneal(
     config: SaConfig,
     *,
     target_energy: float | None = None,
-    tol: float = 1e-9,
+    tol: float = STOP_TOL,
 ) -> AnnealResult:
     """Generalized simulated annealing on the penalized QUBO.
 
@@ -359,7 +358,7 @@ def discrete_anneal(
     config: SaConfig,
     *,
     target_energy: float | None = None,
-    tol: float = 1e-9,
+    tol: float = STOP_TOL,
 ) -> AnnealResult:
     """Metropolis annealing over valid assignments only.
 
@@ -452,31 +451,15 @@ def discrete_anneal(
     )
 
 
-@dataclass(frozen=True)
-class SaEnsembleResult:
-    results: tuple[AnnealResult, ...]
-    success_ratio: float
-    mean_cost: float | None
-    std_cost: float | None
-
-    def summary_dict(self) -> dict:
-        return {
-            "num_trajectories": len(self.results),
-            "success_ratio": self.success_ratio,
-            "mean_cost": self.mean_cost,
-            "std_cost": self.std_cost,
-        }
-
-
 def sa_ensemble(
     problem: RotamerProblem,
     config: SaConfig,
     num_trajectories: int,
     *,
     target_energy: float | None = None,
-    tol: float = 1e-9,
+    tol: float = STOP_TOL,
     method: str = "gsa",
-) -> SaEnsembleResult:
+) -> EnsembleResult:
     """Seed-isolated annealing trajectories with ratio-normalized cost.
 
     Cost of a successful trajectory is its evaluation count, accounted by
@@ -495,7 +478,7 @@ def sa_ensemble(
         results.append(
             anneal(problem, child, target_energy=target_energy, tol=tol)
         )
-    return SaEnsembleResult(
+    return EnsembleResult(
         tuple(results),
         *ensemble_cost(
             [r.evaluations for r in results], [r.converged for r in results]

@@ -17,10 +17,11 @@ import sys
 from .orchestrate import load_summaries, run_experiment
 from .plans import load_plan
 from .reports import (
-    compute_fits,
     crossover_report,
     depth_table,
+    fit_series,
     format_depth_table,
+    rounded_fits,
     write_reports,
 )
 
@@ -88,64 +89,44 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.command == "fit":
-        summaries = load_summaries(args.in_dir)
-        if not summaries:
-            print("no cell summaries found", file=sys.stderr)
-            return 1
-        fits = compute_fits(summaries, fit_start_m=args.fit_start_m)
-        print(json.dumps(fits, indent=2, sort_keys=True))
-        return 0
+    try:
+        print(_report(args))
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    return 0
 
-    if args.command == "crossover":
-        summaries = load_summaries(args.in_dir)
-        if not summaries:
-            print("no cell summaries found", file=sys.stderr)
-            return 1
-        try:
-            report = crossover_report(
-                summaries,
-                cpu_ghz=args.cpu_ghz,
-                qpu_khz=args.qpu_khz,
-                quantum_series=args.quantum_series,
-                classical_series=args.classical_series,
-                fit_start_m=args.fit_start_m,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
 
+def _report(args: argparse.Namespace) -> str:
+    """What a reading command prints; a failure raises ValueError."""
     if args.command == "depth-table":
-        try:
-            rows = depth_table(args.max_size)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(format_depth_table(rows))
-        return 0
+        return format_depth_table(depth_table(args.max_size))
 
+    summaries = load_summaries(args.in_dir)
+    if not summaries:
+        raise ValueError("no cell summaries found")
+    if args.command == "fit":
+        fits = fit_series(summaries, fit_start_m=args.fit_start_m)
+        return json.dumps(rounded_fits(fits), indent=2, sort_keys=True)
+    if args.command == "crossover":
+        report = crossover_report(
+            summaries,
+            cpu_ghz=args.cpu_ghz,
+            qpu_khz=args.qpu_khz,
+            quantum_series=args.quantum_series,
+            classical_series=args.classical_series,
+            fit_start_m=args.fit_start_m,
+        )
+        return json.dumps(report, indent=2, sort_keys=True)
     if args.command == "report":
-        summaries = load_summaries(args.in_dir)
-        if not summaries:
-            print("no cell summaries found", file=sys.stderr)
-            return 1
-        try:
-            written = write_reports(
-                summaries,
-                args.in_dir,
-                fit_start_m=args.fit_start_m,
-                cpu_ghz=args.cpu_ghz,
-                qpu_khz=args.qpu_khz,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        for path in written:
-            print(path)
-        return 0
-
+        written = write_reports(
+            summaries,
+            args.in_dir,
+            fit_start_m=args.fit_start_m,
+            cpu_ghz=args.cpu_ghz,
+            qpu_khz=args.qpu_khz,
+        )
+        return "\n".join(str(path) for path in written)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from ..driver import (
     write_records_jsonl,
 )
 from ..problem import RotamerProblem, random_problem
-from .plans import BenchPlan, CellSpec, cell_key
+from .plans import BenchPlan, CellSpec, cell_key, write_json
 
 __all__ = [
     "run_experiment",
@@ -91,7 +90,6 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         result = run_ensemble(
             problem, config, cell.trajectories, workers=workers
         )
-        records = result.records
         cost_unit = "shots"
         per_iteration = config.resolved_shots(problem.num_qubits)
     else:
@@ -103,10 +101,9 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
             target_energy=target,
             method=method,
         )
-        records = result.results
         cost_unit = "evaluations"
         per_iteration = config.max_iterations
-    write_records_jsonl(records, cell_dir / "records.jsonl")
+    write_records_jsonl(result.results, cell_dir / "records.jsonl")
 
     summary = {
         "cell": dataclasses.asdict(cell),
@@ -119,12 +116,8 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
         "aggregate": result.summary_dict(),
         "wall_time": time.perf_counter() - start,
     }
-    # the summary's existence marks the cell done, so it appears whole or not at all
-    tmp = cell_dir / "summary.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, cell_dir / "summary.json")
+    # the summary's existence marks the cell done; written last, and whole
+    write_json(summary, cell_dir / "summary.json")
     return summary
 
 
@@ -133,7 +126,10 @@ def run_experiment(
 ) -> list[dict]:
     """Run every cell of a plan, skipping cells already summarized.
 
-    Every cell's solver settings are checked before any cell runs.
+    Every cell's solver settings are checked before any cell runs. Each
+    ``summary.json`` and the ``index.json`` are written whole or not at
+    all, so an interrupted run leaves the previous file or none, and
+    running the plan again resumes it.
     """
     for cell in plan.cells:
         _solver_config(cell)
@@ -158,9 +154,7 @@ def run_experiment(
         index["cells"].append(
             {"key": key, "series": summary["series"], "status": status}
         )
-    with open(out / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(index, out / "index.json")
     return summaries
 
 

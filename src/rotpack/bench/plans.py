@@ -13,8 +13,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, TextIO
 
 SOLVERS = ("qaoa", "sa", "sa-discrete")
 
@@ -110,6 +113,30 @@ def save_plan(plan: BenchPlan, path: str | Path) -> None:
         "name": plan.name,
         "cells": [dataclasses.asdict(c) for c in plan.cells],
     }
-    with open(path, "w") as fh:
+    write_json(doc, path)
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` when the block ends without error.
+
+    The text goes to ``<path>.tmp`` first, so ``path`` holds its old bytes
+    or the new ones, never part of them; on an error the temporary file is
+    removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(doc, path: str | Path) -> None:
+    """Sorted, indent-2 JSON and a newline, written through :func:`replacing`."""
+    with replacing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

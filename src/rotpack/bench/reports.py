@@ -2,20 +2,21 @@
 
 Every writer is byte-deterministic for identical inputs: keys are sorted,
 floats go through one '.6g' rounding, and CSV rows use a fixed column
-order with a bare newline terminator.
+order with a bare newline terminator. The rounding is for display only:
+the crossover is estimated from the fits as computed.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..circuits import AnsatzSpec, assemble_ansatz
 from ..depth import depth_report, schedule_trace, uniform_problem
 from .fits import ScalingFit, default_fit_start, estimate_crossover, fit_scaling
+from .plans import replacing, write_json
 
 __all__ = [
     "REFERENCE_DEPTHS",
@@ -127,79 +128,33 @@ def scaling_points(
     return points
 
 
-def _series_of(summaries: Sequence[dict]) -> list[str]:
-    return sorted({s["series"] for s in summaries})
+# series -> (size cut, its fit or the error that kept it from one)
+Fits = dict[str, tuple[float, ScalingFit | ValueError]]
 
 
-def write_scaling_csv(summaries: Sequence[dict], path: Path) -> None:
-    columns = [
-        "series",
-        "num_qubits",
-        "num_residues",
-        "rotamers",
-        "trajectories",
-        "success_ratio",
-        "mean_cost",
-        "std_cost",
-    ]
-    rows = sorted(
-        summaries, key=lambda s: (s["series"], s["num_qubits"])
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for s in rows:
-            agg = s["aggregate"]
-            writer.writerow(
-                [
-                    s["series"],
-                    s["num_qubits"],
-                    s["cell"]["num_residues"],
-                    s["cell"]["rotamers"],
-                    s["cell"]["trajectories"],
-                    _fmt6(agg.get("success_ratio")),
-                    _fmt6(agg.get("mean_cost")),
-                    _fmt6(agg.get("std_cost")),
-                ]
-            )
-
-
-def write_convergence_csv(summaries: Sequence[dict], path: Path) -> None:
-    """Per-cell convergence in the published table layout.
-
-    ``total`` is the per-iteration effort knob: shots per iteration for
-    QAOA cells, the iteration budget for annealing cells.
-    """
-    columns = ["series", "residues", "rotamers", "total", "success_ratio"]
-    rows = sorted(summaries, key=lambda s: (s["series"], s["num_qubits"]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for s in rows:
-            writer.writerow(
-                [
-                    s["series"],
-                    s["cell"]["num_residues"],
-                    s["cell"]["rotamers"],
-                    s["per_iteration"],
-                    _fmt6(s["aggregate"].get("success_ratio")),
-                ]
-            )
-
-
-def compute_fits(
+def fit_series(
     summaries: Sequence[dict], *, fit_start_m: float | None = None
-) -> dict[str, dict]:
-    fits: dict[str, dict] = {}
-    for series in _series_of(summaries):
-        points = scaling_points(summaries, series)
+) -> Fits:
+    """Fit each series once."""
+    fits: Fits = {}
+    for series in sorted({s["series"] for s in summaries}):
         start = fit_start_m if fit_start_m is not None else default_fit_start(series)
         try:
-            fit = fit_scaling(points, fit_start_m=start)
+            fit = fit_scaling(scaling_points(summaries, series), fit_start_m=start)
         except ValueError as exc:
-            fits[series] = {"error": str(exc), "fit_start_m": start}
+            fit = exc
+        fits[series] = (start, fit)
+    return fits
+
+
+def rounded_fits(fits: Fits) -> dict[str, dict]:
+    """The fits as reports show them, every value rounded to 6 digits."""
+    shown: dict[str, dict] = {}
+    for series, (start, fit) in fits.items():
+        if isinstance(fit, ValueError):
+            shown[series] = {"error": str(fit), "fit_start_m": start}
             continue
-        fits[series] = {
+        shown[series] = {
             "slope": _round6(fit.slope),
             "intercept": _round6(fit.intercept),
             "slope_stderr": _round6(fit.slope_stderr),
@@ -207,17 +162,7 @@ def compute_fits(
             "fit_start_m": start,
             "num_points": len(fit.points),
         }
-    return fits
-
-
-def _fit_from_dict(d: dict) -> ScalingFit:
-    return ScalingFit(
-        slope=d["slope"],
-        intercept=d["intercept"],
-        slope_stderr=d["slope_stderr"],
-        r_squared=d["r_squared"],
-        points=(),
-    )
+    return shown
 
 
 def crossover_report(
@@ -230,20 +175,30 @@ def crossover_report(
     fit_start_m: float | None = None,
 ) -> dict:
     """Crossover estimate between one quantum and one classical series."""
-    names = _series_of(summaries)
+    fits = fit_series(summaries, fit_start_m=fit_start_m)
+    return _crossover(fits, cpu_ghz, qpu_khz, quantum_series, classical_series)
+
+
+def _crossover(
+    fits: Fits,
+    cpu_ghz: float,
+    qpu_khz: float,
+    quantum_series: str | None = None,
+    classical_series: str | None = None,
+) -> dict:
     if quantum_series is None:
-        quantum_series = next((s for s in names if s.startswith("qaoa")), None)
+        quantum_series = next((s for s in fits if s.startswith("qaoa")), None)
     if classical_series is None:
-        classical_series = next((s for s in names if s.startswith("sa")), None)
+        classical_series = next((s for s in fits if s.startswith("sa")), None)
     if quantum_series is None or classical_series is None:
         raise ValueError("need one qaoa series and one sa series to compare")
-    fits = compute_fits(summaries, fit_start_m=fit_start_m)
-    for name in (quantum_series, classical_series):
-        if name not in fits or "error" in fits[name]:
+    chosen = {name: fits.get(name) for name in (quantum_series, classical_series)}
+    for name, entry in chosen.items():
+        if entry is None or isinstance(entry[1], ValueError):
             raise ValueError(f"no usable fit for series {name!r}")
     estimate = estimate_crossover(
-        _fit_from_dict(fits[quantum_series]),
-        _fit_from_dict(fits[classical_series]),
+        chosen[quantum_series][1],
+        chosen[classical_series][1],
         cpu_rate_hz=cpu_ghz * 1e9,
         qpu_rate_hz=qpu_khz * 1e3,
     )
@@ -260,11 +215,22 @@ def crossover_report(
         "crossover_m": _round6(estimate.crossover_m),
         "interval": interval,
         "marker": estimate.marker,
-        "fits": {
-            quantum_series: fits[quantum_series],
-            classical_series: fits[classical_series],
-        },
+        "fits": rounded_fits(chosen),
     }
+
+
+def _write_csv(
+    path: Path,
+    summaries: Sequence[dict],
+    columns: list[str],
+    row: Callable[[dict], list],
+) -> None:
+    """A header, then one row per summary, by series and qubit count."""
+    with replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for s in sorted(summaries, key=lambda s: (s["series"], s["num_qubits"])):
+            writer.writerow(row(s))
 
 
 def write_reports(
@@ -278,41 +244,63 @@ def write_reports(
     """Write scaling.csv, convergence_tables.csv, fits.json, and, when both
     device rates are given, crossover.json. Returns the written paths.
 
-    A crossover that cannot be estimated raises ValueError before any file
-    is written.
+    Each series is fitted once. The crossover is estimated from those fits
+    as computed; only the values written are rounded. A crossover that
+    cannot be estimated raises ValueError before any file is written, and
+    each file is written whole or not at all.
     """
+    fits = fit_series(summaries, fit_start_m=fit_start_m)
     crossover = None
     if cpu_ghz is not None and qpu_khz is not None:
-        crossover = crossover_report(
-            summaries, cpu_ghz=cpu_ghz, qpu_khz=qpu_khz, fit_start_m=fit_start_m
-        )
+        crossover = _crossover(fits, cpu_ghz, qpu_khz)
     reports = Path(out_dir) / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    scaling_path = reports / "scaling.csv"
-    write_scaling_csv(summaries, scaling_path)
-    written.append(scaling_path)
-
-    convergence_path = reports / "convergence_tables.csv"
-    write_convergence_csv(summaries, convergence_path)
-    written.append(convergence_path)
-
-    fits_path = reports / "fits.json"
-    with open(fits_path, "w") as fh:
-        json.dump(
-            compute_fits(summaries, fit_start_m=fit_start_m),
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    written.append(fits_path)
-
+    written = [
+        reports / "scaling.csv",
+        reports / "convergence_tables.csv",
+        reports / "fits.json",
+    ]
+    _write_csv(
+        written[0],
+        summaries,
+        [
+            "series",
+            "num_qubits",
+            "num_residues",
+            "rotamers",
+            "trajectories",
+            "success_ratio",
+            "mean_cost",
+            "std_cost",
+        ],
+        lambda s: [
+            s["series"],
+            s["num_qubits"],
+            s["cell"]["num_residues"],
+            s["cell"]["rotamers"],
+            s["cell"]["trajectories"],
+            _fmt6(s["aggregate"].get("success_ratio")),
+            _fmt6(s["aggregate"].get("mean_cost")),
+            _fmt6(s["aggregate"].get("std_cost")),
+        ],
+    )
+    # per-cell convergence in the published table layout; ``total`` is the
+    # per-iteration effort knob: shots per iteration for QAOA cells, the
+    # iteration budget for annealing cells
+    _write_csv(
+        written[1],
+        summaries,
+        ["series", "residues", "rotamers", "total", "success_ratio"],
+        lambda s: [
+            s["series"],
+            s["cell"]["num_residues"],
+            s["cell"]["rotamers"],
+            s["per_iteration"],
+            _fmt6(s["aggregate"].get("success_ratio")),
+        ],
+    )
+    write_json(rounded_fits(fits), written[2])
     if crossover is not None:
-        crossover_path = reports / "crossover.json"
-        with open(crossover_path, "w") as fh:
-            json.dump(crossover, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(crossover_path)
+        written.append(reports / "crossover.json")
+        write_json(crossover, written[3])
     return written

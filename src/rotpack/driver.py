@@ -36,8 +36,8 @@ import numpy as np
 
 from ._rng import generator, trajectory_seed
 from .circuits import AnsatzSpec, REGIMES, assemble_ansatz, build_initial_state, build_mixer
-from .mps import run_circuit_mps
-from .optimizers import make_optimizer
+from .mps import MAX_BOND, TRUNCATION_THRESHOLD, run_circuit_mps
+from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
 from . import statevector as sv
@@ -64,13 +64,16 @@ BACKENDS = ("statevector", "mps")
 # Environment variables that size the BLAS thread pool as numpy loads.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# default tolerance on the target energy at which a trajectory stops
+STOP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FirstGroundState:
     """Stop a trajectory the moment a sampled valid bitstring hits the target."""
 
     target_energy: float
-    tol: float = 1e-9
+    tol: float = STOP_TOL
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,8 @@ class QaoaConfig:
     beta_range: tuple[float, float] = (-1.0, 1.0)
     seed: int = 0
     backend: str = "statevector"
-    max_bond: int = 64
-    truncation_threshold: float = 1e-10
+    max_bond: int = MAX_BOND
+    truncation_threshold: float = TRUNCATION_THRESHOLD
     penalty: float | None = None
     optimizer: str = "cobyla"
     init_config: tuple[int, ...] | None = None
@@ -114,6 +117,14 @@ class QaoaConfig:
             raise ValueError("p must be at least 1")
         if self.penalty is not None and self.regime != "penalty":
             raise ValueError("penalty weight only applies to the penalty regime")
+        if self.optimizer.lower() not in OPTIMIZER_METHODS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.shots_per_iteration is not None and self.shots_per_iteration < 1:
+            raise ValueError("shots_per_iteration must be at least 1")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.max_bond is not None and self.max_bond < 1:
+            raise ValueError("max_bond must be positive")
 
     def resolved_shots(self, num_qubits: int) -> int:
         if self.shots_per_iteration is not None:
@@ -345,15 +356,21 @@ def optimize(
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    records: tuple[RunRecord, ...]
-    convergence_ratio: float
+    """An ensemble's trajectories and their :func:`ensemble_cost`.
+
+    ``results`` holds :class:`RunRecord`s for QAOA and
+    ``baselines.AnnealResult``s for annealing.
+    """
+
+    results: tuple
+    success_ratio: float
     mean_cost: float | None
     std_cost: float | None
 
     def summary_dict(self) -> dict:
         return {
-            "num_trajectories": len(self.records),
-            "success_ratio": self.convergence_ratio,
+            "num_trajectories": len(self.results),
+            "success_ratio": self.success_ratio,
             "mean_cost": self.mean_cost,
             "std_cost": self.std_cost,
         }
@@ -377,7 +394,7 @@ def ensemble_cost(
 
 
 def aggregate_records(records: Sequence[RunRecord]) -> EnsembleResult:
-    """Convergence ratio and :func:`ensemble_cost` over total shots."""
+    """:func:`ensemble_cost` over total shots."""
     records = tuple(records)
     if not records:
         raise ValueError("no records to aggregate")

@@ -41,6 +41,10 @@ __all__ = ["MpsState", "run_circuit_mps"]
 # a split adding less than this relative weight is round-off, not truncation
 _EPS = np.finfo(float).eps
 
+# default bond cap and relative singular-value cutoff
+MAX_BOND = 64
+TRUNCATION_THRESHOLD = 1e-10
+
 
 class MpsState:
     """Mutable MPS of ``num_qubits`` sites, starting as |0...0>.
@@ -64,8 +68,8 @@ class MpsState:
         self,
         num_qubits: int,
         *,
-        max_bond: int | None = 64,
-        threshold: float = 1e-10,
+        max_bond: int | None = MAX_BOND,
+        threshold: float = TRUNCATION_THRESHOLD,
     ) -> None:
         if num_qubits < 1:
             raise ValueError("need at least one site")
@@ -297,8 +301,8 @@ class MpsState:
 def run_circuit_mps(
     circuit: Circuit,
     *,
-    max_bond: int | None = 64,
-    threshold: float = 1e-10,
+    max_bond: int | None = MAX_BOND,
+    threshold: float = TRUNCATION_THRESHOLD,
 ) -> MpsState:
     """Simulate a circuit from |0...0> as an MPS.
 

@@ -187,10 +187,10 @@ def test_small_cells_all_reach_ground():
                 stop_mode=FirstGroundState(target_energy=target),
             )
             ensemble = run_ensemble(problem, config, 20, workers=4)
-            if ensemble.convergence_ratio != 1.0:
+            if ensemble.success_ratio != 1.0:
                 failures.append(
                     f"({num_residues},{rotamers}): "
-                    f"{ensemble.convergence_ratio:.2f}"
+                    f"{ensemble.success_ratio:.2f}"
                 )
     criterion(
         5,

@@ -442,8 +442,19 @@ class TestOrchestrate:
         [
             {"solver": "qaoa", "qaoa": {"p": 1, "max_iterations": 3}},
             {"solver": "sa-discrete", "sa": {"max_iteration": 50}},
+            {"solver": "qaoa", "qaoa": {"regime": "xy", "optimizer": "bfgs"}},
+            {"solver": "qaoa", "qaoa": {"regime": "xy", "shots_per_iteration": 0}},
+            {"solver": "qaoa", "qaoa": {"regime": "xy", "max_iterations": -1}},
+            {"solver": "qaoa", "qaoa": {"regime": "xy", "max_bond": 0}},
         ],
-        ids=["qaoa-without-regime", "sa-misspelled-key"],
+        ids=[
+            "qaoa-without-regime",
+            "sa-misspelled-key",
+            "qaoa-unknown-optimizer",
+            "qaoa-zero-shots",
+            "qaoa-negative-budget",
+            "qaoa-zero-bond-cap",
+        ],
     )
     def test_bad_cell_is_rejected_before_any_cell_runs(self, tmp_path, bad):
         good = tiny_plan().cells[0]
@@ -453,6 +464,23 @@ class TestOrchestrate:
         with pytest.raises(ValueError, match=f"cell {cell_key(bad_cell)}"):
             run_experiment(plan, out)
         assert not (out / "cells" / cell_key(good)).exists()
+
+    def test_interrupted_index_write_keeps_the_old_index(self, tmp_path, monkeypatch):
+        plan = tiny_plan()
+        out = tmp_path / "run"
+        run_experiment(plan, out)
+        before = (out / "index.json").read_bytes()
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            raise OSError("disk full")
+
+        # every cell is cached, so the index is the only file written
+        monkeypatch.setattr("rotpack.bench.orchestrate.json.dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(plan, out)
+        assert (out / "index.json").read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
 
     def test_load_summaries_sorts_by_series_then_size(self, tmp_path):
         out = tmp_path / "run"
@@ -561,6 +589,24 @@ class TestReports:
             "success_ratio,mean_cost,std_cost"
         )
         assert lines[1] == "sa,20,5,4,8,1,4.66667,0"
+
+    def test_crossover_comes_from_the_fits_not_their_rounding(self):
+        # slopes that agree to 6 digits, so rounding them moves the crossover
+        sizes = (20, 24, 28, 32)
+        quantum = planted_points(0.2000004, 3.0, sizes)
+        classical = planted_points(0.2000049, 1.0, sizes)
+        summaries = [
+            synthetic_summary("qaoa-xy-statevector", m, c) for m, c in quantum
+        ] + [synthetic_summary("sa", m, c) for m, c in classical]
+        report = crossover_report(summaries, cpu_ghz=1.0, qpu_khz=1.0, fit_start_m=0)
+        estimate = estimate_crossover(
+            fit_scaling(quantum, fit_start_m=0),
+            fit_scaling(classical, fit_start_m=0),
+            cpu_rate_hz=1e9,
+            qpu_rate_hz=1e3,
+        )
+        assert report["crossover_m"] == float(format(estimate.crossover_m, ".6g"))
+        assert report["crossover_m"] == pytest.approx(3514557.9, rel=1e-6)
 
     def test_crossover_report_needs_both_series(self):
         summaries = [

@@ -140,6 +140,16 @@ class TestConfig:
             QaoaConfig(regime="xy", p=0)
         with pytest.raises(ValueError, match="penalty regime"):
             QaoaConfig(regime="baseline", penalty=3.0)
+        with pytest.raises(ValueError, match="unknown optimizer 'bfgs'"):
+            QaoaConfig(regime="xy", optimizer="bfgs")
+        with pytest.raises(ValueError, match="shots_per_iteration"):
+            QaoaConfig(regime="xy", shots_per_iteration=0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            QaoaConfig(regime="xy", max_iterations=-1)
+        with pytest.raises(ValueError, match="max_bond"):
+            QaoaConfig(regime="xy", backend="mps", max_bond=0)
+        # the optimizer name is matched the way ScipyAskTell matches it
+        assert QaoaConfig(regime="xy", optimizer="Nelder-Mead").optimizer == "Nelder-Mead"
 
     def test_default_shot_schedule(self):
         cfg = QaoaConfig(regime="xy")
@@ -335,7 +345,7 @@ class TestAggregation:
             make_record(trajectory_id=1, total_shots=300),
         ]
         result = aggregate_records(records)
-        assert result.convergence_ratio == 1.0
+        assert result.success_ratio == 1.0
         assert result.mean_cost == pytest.approx(200.0)
         assert result.std_cost == pytest.approx(100.0)
 
@@ -351,7 +361,7 @@ class TestAggregation:
             ),
         ]
         result = aggregate_records(records)
-        assert result.convergence_ratio == 0.5
+        assert result.success_ratio == 0.5
         # 100 / 0.5: the failed trajectory's shots are not averaged in,
         # but the failure rate doubles the expected cost
         assert result.mean_cost == pytest.approx(200.0)
@@ -360,7 +370,7 @@ class TestAggregation:
     def test_no_convergence(self):
         records = [make_record(converged=False)]
         result = aggregate_records(records)
-        assert result.convergence_ratio == 0.0
+        assert result.success_ratio == 0.0
         assert result.mean_cost is None
         assert result.std_cost is None
 
@@ -391,9 +401,9 @@ class TestEnsemble:
         seq = run_ensemble(problem, cfg, 4, workers=1)
         par = run_ensemble(problem, cfg, 4, workers=2)
         strip = lambda r: dataclasses.asdict(r) | {"wall_time": 0.0}
-        assert [strip(r) for r in seq.records] == [strip(r) for r in par.records]
-        assert [r.trajectory_id for r in seq.records] == [0, 1, 2, 3]
-        assert seq.convergence_ratio == 1.0
+        assert [strip(r) for r in seq.results] == [strip(r) for r in par.results]
+        assert [r.trajectory_id for r in seq.results] == [0, 1, 2, 3]
+        assert seq.success_ratio == 1.0
 
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

@@ -107,7 +107,7 @@ def collect(tree: Path) -> dict:
     aggregates = {}
     for stop, records in by_stop.items():
         ens = aggregate_records(records)
-        aggregates[stop] = [ens.convergence_ratio, ens.mean_cost, ens.std_cost]
+        aggregates[stop] = [ens.success_ratio, ens.mean_cost, ens.std_cost]
 
     anneal = []
     for method in ("gsa", "discrete"):

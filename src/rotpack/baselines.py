@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._rng import generator, trajectory_seed
-from .driver import STOP_TOL, EnsembleResult, ensemble_cost
+from .driver import EnsembleResult, ensemble_cost, stop_threshold
 from .problem import RotamerProblem, bits_to_string, encode, valid_mask
 from .qubo import QuboMatrix, build_qubo, default_penalty
 
@@ -147,12 +147,10 @@ class _CountingObjective:
         qubo: QuboMatrix,
         problem: RotamerProblem,
         target: float | None,
-        tol: float,
     ) -> None:
         self._qubo = qubo
         self._problem = problem
-        self._target = target
-        self._tol = tol
+        self._threshold = stop_threshold(target)
         self.evaluations = 0
         self.best_energy = math.inf
         self.best_bits: np.ndarray | None = None
@@ -164,11 +162,7 @@ class _CountingObjective:
         if e < self.best_energy:
             self.best_energy = e
             self.best_bits = bits.copy()
-        if (
-            self._target is not None
-            and e <= self._target + self._tol
-            and valid_mask(bits, self._problem)[0]
-        ):
+        if e <= self._threshold and valid_mask(bits, self._problem)[0]:
             raise _TargetReached
         return e
 
@@ -280,7 +274,6 @@ def dual_anneal(
     config: SaConfig,
     *,
     target_energy: float | None = None,
-    tol: float = STOP_TOL,
 ) -> AnnealResult:
     """Generalized simulated annealing on the penalized QUBO.
 
@@ -295,7 +288,7 @@ def dual_anneal(
     start = time.perf_counter()
     qubo = build_qubo(problem, penalty=default_penalty(problem))
     rng = generator(config.seed)
-    objective = _CountingObjective(qubo, problem, target_energy, tol)
+    objective = _CountingObjective(qubo, problem, target_energy)
     m = problem.num_qubits
     qv, qa = config.visit, config.accept
     factors = _VisitFactors(qv)
@@ -358,7 +351,6 @@ def discrete_anneal(
     config: SaConfig,
     *,
     target_energy: float | None = None,
-    tol: float = STOP_TOL,
 ) -> AnnealResult:
     """Metropolis annealing over valid assignments only.
 
@@ -385,9 +377,8 @@ def discrete_anneal(
     evaluations = 1
     best_energy = energy
     best = current.copy()
-    converged = (
-        target_energy is not None and energy <= target_energy + tol
-    )
+    threshold = stop_threshold(target_energy)
+    converged = energy <= threshold
     iterations = 0
     if config.max_iterations > 1:
         cooling = (1e-3) ** (1.0 / (config.max_iterations - 1))
@@ -423,13 +414,10 @@ def discrete_anneal(
                     if energy < best_energy:
                         best_energy = energy
                         best = current.copy()
-                if (
-                    target_energy is not None
-                    and energy <= target_energy + tol
-                ):
+                if energy <= threshold:
                     # deltas accumulate float error: confirm before stopping
                     energy = problem.energy(tuple(int(v) for v in current))
-                    if energy <= target_energy + tol:
+                    if energy <= threshold:
                         converged = True
                         best = current.copy()
                         break
@@ -457,7 +445,6 @@ def sa_ensemble(
     num_trajectories: int,
     *,
     target_energy: float | None = None,
-    tol: float = STOP_TOL,
     method: str = "gsa",
 ) -> EnsembleResult:
     """Seed-isolated annealing trajectories with ratio-normalized cost.
@@ -475,9 +462,7 @@ def sa_ensemble(
         child = dataclasses.replace(
             config, seed=trajectory_seed(config.seed, tid)
         )
-        results.append(
-            anneal(problem, child, target_energy=target_energy, tol=tol)
-        )
+        results.append(anneal(problem, child, target_energy=target_energy))
     return EnsembleResult(
         tuple(results),
         *ensemble_cost(

@@ -32,10 +32,6 @@ class ScalingFit:
     r_squared: float
     points: tuple[tuple[float, float], ...]
 
-    def predict(self, m: float) -> float:
-        """Projected cost at size m."""
-        return math.exp(self.intercept + self.slope * m)
-
 
 def fit_scaling(
     points: Sequence[tuple[float, float]],
@@ -87,12 +83,6 @@ class CrossoverEstimate:
     crossover_m: float | None
     interval: tuple[float, float] | None
     marker: str
-    cpu_rate_hz: float
-    qpu_rate_hz: float
-
-    @property
-    def bounded(self) -> bool:
-        return self.marker == "ok"
 
 
 def _corner_crossover(
@@ -127,9 +117,9 @@ def estimate_crossover(
     a_q, a_c = quantum.slope, classical.slope
 
     if a_c == a_q and b_c == b_q:
-        return CrossoverEstimate(None, None, "degenerate", cpu_rate_hz, qpu_rate_hz)
+        return CrossoverEstimate(None, None, "degenerate")
     if a_c <= a_q:
-        return CrossoverEstimate(None, None, "unbounded", cpu_rate_hz, qpu_rate_hz)
+        return CrossoverEstimate(None, None, "unbounded")
 
     center = (b_q - b_c) / (a_c - a_q)
     corners = [
@@ -138,12 +128,4 @@ def estimate_crossover(
         for sq in (-1.0, 1.0)
         for sc in (-1.0, 1.0)
     ]
-    lo = min(corners)
-    hi = max(corners)
-    return CrossoverEstimate(
-        crossover_m=center,
-        interval=(lo, hi),
-        marker="ok",
-        cpu_rate_hz=cpu_rate_hz,
-        qpu_rate_hz=qpu_rate_hz,
-    )
+    return CrossoverEstimate(center, (min(corners), max(corners)), "ok")

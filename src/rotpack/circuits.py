@@ -162,6 +162,17 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def pair_matrix(gate: Gate, high: int) -> np.ndarray:
+    """A two-qubit gate's 4x4 matrix with qubit ``high`` as the more
+    significant bit."""
+    matrix = gate_matrix(gate)
+    if gate.qubits[0] == high:
+        return matrix
+    # gate_matrix takes the first listed qubit as the more significant bit;
+    # swap the two qubits' roles in both the row and the column index
+    return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
 # ---------------------------------------------------------------------------
 # Fragment builders
 

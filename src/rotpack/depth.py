@@ -112,7 +112,6 @@ def schedule(gates: Sequence[Gate]) -> list[ScheduledLayer]:
 class DepthSummary:
     cd: int
     cnot_count: int
-    num_layers: int
 
 
 def logical_depth(circuit: Circuit, include_state_prep: bool = True) -> DepthSummary:
@@ -125,7 +124,7 @@ def logical_depth(circuit: Circuit, include_state_prep: bool = True) -> DepthSum
     layers = schedule(gates)
     cd = sum(layer.cnot_cost for layer in layers)
     cnots = sum(CNOT_COST[g.kind] for g in gates if g.is_two_qubit)
-    return DepthSummary(cd=cd, cnot_count=cnots, num_layers=len(layers))
+    return DepthSummary(cd=cd, cnot_count=cnots)
 
 
 def uniform_problem(num_residues: int, rotamers: int) -> RotamerProblem:
@@ -146,15 +145,13 @@ def uniform_problem(num_residues: int, rotamers: int) -> RotamerProblem:
     )
 
 
-def depth_report(
-    problem: RotamerProblem,
-    regime: str,
-    p: int = 1,
-    *,
-    penalty: float | None = None,
-) -> dict:
-    """Depth figures for one (problem shape, regime) cell as a JSON-ready dict."""
-    spec = AnsatzSpec(regime=regime, p=p, penalty=penalty)
+def depth_report(problem: RotamerProblem, regime: str, p: int = 1) -> dict:
+    """Depth figures for one (problem shape, regime) cell as a JSON-ready dict.
+
+    Depth depends only on which Hamiltonian terms are nonzero, and every
+    penalty weight gives the same terms, so the default weight stands in.
+    """
+    spec = AnsatzSpec(regime=regime, p=p)
     params = [0.5] * (2 * p)
     circuit = assemble_ansatz(problem, spec, params)
     with_prep = logical_depth(circuit, include_state_prep=True)

@@ -1,11 +1,12 @@
 """The hybrid QAOA loop.
 
 One *trajectory* is: draw initial angles, then repeatedly simulate the
-ansatz, sample a batch of shots, scan the batch for a valid ground-state
-bitstring (stopping immediately on a hit), and otherwise feed the batch's
-CVaR to a gradient-free optimizer for the next angles. Cost is counted in
-circuits executed: iterations times shots per iteration, with the final
-iteration always charged in full because batches execute whole.
+ansatz, sample a batch of shots, scan the batch for a valid bitstring
+that reaches the target energy (stopping immediately on a hit), and
+otherwise feed the batch's CVaR to a gradient-free optimizer for the next
+angles. Cost is counted in circuits executed: iterations times shots per
+iteration, with the final iteration always charged in full because batches
+execute whole.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -64,16 +65,25 @@ BACKENDS = ("statevector", "mps")
 # Environment variables that size the BLAS thread pool as numpy loads.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# default tolerance on the target energy at which a trajectory stops
+# how far above its target a sampled energy may sit and still reach it
 STOP_TOL = 1e-9
+
+
+def stop_threshold(target_energy: float | None) -> float:
+    """The energy at or below which a valid sample reaches ``target_energy``.
+
+    QAOA and both annealers stop on this one rule; with no target, no
+    energy reaches it.
+    """
+    return -math.inf if target_energy is None else target_energy + STOP_TOL
 
 
 @dataclass(frozen=True)
 class FirstGroundState:
-    """Stop a trajectory the moment a sampled valid bitstring hits the target."""
+    """Stop a trajectory the moment a sampled valid bitstring reaches the
+    target (see :func:`stop_threshold`)."""
 
     target_energy: float
-    tol: float = STOP_TOL
 
 
 @dataclass(frozen=True)
@@ -265,6 +275,12 @@ def optimize(
             }
             return mstate.sample(shots, rng), meta
 
+    threshold = stop_threshold(
+        config.stop_mode.target_energy
+        if isinstance(config.stop_mode, FirstGroundState)
+        else None
+    )
+
     x0 = init_params(config.p, rng, config.gamma_range, config.beta_range)
     optimizer = make_optimizer(config.optimizer, x0, budget)
     restarts = 0
@@ -312,15 +328,11 @@ def optimize(
                 if best_energy is None or energies[best_local] < best_energy:
                     best_energy = float(energies[best_local])
                     best_bits = bits_to_string(bits[best_local])
-            if isinstance(config.stop_mode, FirstGroundState):
-                hits = valid & (
-                    np.abs(energies - config.stop_mode.target_energy)
-                    <= config.stop_mode.tol
-                )
-                if hits.any():
-                    first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
-                    converged = True
-                    break
+            hits = valid & (energies <= threshold)
+            if hits.any():
+                first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
+                converged = True
+                break
 
             value = cvar(bits, h_opt, config.cvar_alpha)
             last_cvar = value

@@ -34,7 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import DIAGONAL_KINDS, Circuit, Gate, gate_matrix
+from .circuits import DIAGONAL_KINDS, Circuit, Gate, gate_matrix, pair_matrix
 
 __all__ = ["MpsState", "run_circuit_mps"]
 
@@ -127,18 +127,14 @@ class MpsState:
     def apply_gate(self, gate: Gate) -> None:
         if any(q >= self.num_qubits for q in gate.qubits):
             raise IndexError(f"gate {gate} out of range")
-        matrix = gate_matrix(gate)
         if len(gate.qubits) == 1:
             q = gate.qubits[0]
-            self.tensors[q] = np.matmul(matrix, self.tensors[q])
+            self.tensors[q] = np.matmul(gate_matrix(gate), self.tensors[q])
             return
-        qa, qb = gate.qubits
-        lo, hi = min(qa, qb), max(qa, qb)
-        if qa != lo:
-            # matrix treats its first qubit as the pair's high bit; after
-            # placing the pair as (left site, right site) = (lo, hi) the
-            # combined physical index is 2*bit(lo) + bit(hi)
-            matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        lo, hi = sorted(gate.qubits)
+        # the pair sits as (left site, right site) = (lo, hi), so the
+        # combined physical index is 2*bit(lo) + bit(hi)
+        matrix = pair_matrix(gate, lo)
         # route hi next to lo, apply, route back
         for site in range(hi - 1, lo, -1):
             self._apply_adjacent(site, swap=True, center_left=True)

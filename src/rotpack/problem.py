@@ -123,10 +123,6 @@ class RotamerProblem:
         """(offset, size) of each residue block."""
         return tuple(zip(self.block_offsets, self.rotamer_counts))
 
-    def block_slice(self, residue: int) -> slice:
-        off = self.block_offsets[residue]
-        return slice(off, off + self.rotamer_counts[residue])
-
     def self_energy(self, residue: int, rotamer: int) -> float:
         return float(self.self_energies[self.block_offsets[residue] + rotamer])
 

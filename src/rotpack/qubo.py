@@ -43,7 +43,6 @@ class QuboMatrix:
 
     matrix: np.ndarray
     offset: float = 0.0
-    penalty: float | None = None
 
     def __post_init__(self) -> None:
         q = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
@@ -87,7 +86,7 @@ def build_qubo(problem: RotamerProblem, penalty: float | None = None) -> QuboMat
             q[block, block] += penalty * (1.0 - np.eye(n))
             q[block, block] -= penalty * np.eye(n)
             constant += penalty
-    return QuboMatrix(matrix=q, offset=constant, penalty=penalty)
+    return QuboMatrix(matrix=q, offset=constant)
 
 
 def default_penalty(problem: RotamerProblem) -> float:
@@ -132,10 +131,6 @@ class IsingHamiltonian:
     @property
     def num_spins(self) -> int:
         return int(self.fields.size)
-
-    def energy_of_bits(self, bits: Sequence[int]) -> float:
-        z = 1.0 - 2.0 * np.asarray(bits, dtype=float)
-        return float(z @ self.couplings @ z - self.fields @ z + self.constant)
 
     def energies_of_bits(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized spin energy over rows of a (S, M) bit array."""

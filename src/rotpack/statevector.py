@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_matrix
+from .circuits import Circuit, Gate, gate_matrix, pair_matrix
 from .problem import RotamerProblem
 from .qubo import MAX_TABLE_SIZE
 
@@ -55,18 +55,6 @@ def _num_qubits(state: np.ndarray) -> int:
     return m
 
 
-def _pair_matrix(gate: Gate) -> tuple[np.ndarray, int, int]:
-    """A two-qubit gate's matrix indexed (high qubit, low qubit), and the two."""
-    qa, qb = gate.qubits
-    hi, lo = max(qa, qb), min(qa, qb)
-    matrix = gate_matrix(gate)
-    if qa != hi:
-        # gate matrix indexes the first listed qubit as the high bit of the
-        # pair; flip its qubit roles when the first listed qubit is the low one
-        matrix = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    return matrix, hi, lo
-
-
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate in place and return the state."""
     m = _num_qubits(state)
@@ -81,7 +69,8 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         view[:, 0, :] = matrix[0, 0] * v0 + matrix[0, 1] * v1
         view[:, 1, :] = matrix[1, 0] * v0 + matrix[1, 1] * v1
         return state
-    matrix, hi, lo = _pair_matrix(gate)
+    lo, hi = sorted(gate.qubits)
+    matrix = pair_matrix(gate, hi)
     view = state.reshape(-1, 2, (1 << hi) // (2 << lo), 2, 1 << lo)
     v = [
         view[:, 0, :, 0, :].copy(),
@@ -147,7 +136,8 @@ def apply_one_hot_gate(
         raise ValueError(f"a one-hot state takes a and xy gates, not {gate.kind}")
     if state.shape != tuple(n for _, n in reversed(blocks)):
         raise ValueError("state shape does not match the blocks")
-    matrix, hi, lo = _pair_matrix(gate)
+    lo, hi = sorted(gate.qubits)
+    matrix = pair_matrix(gate, hi)
     for i, (off, n) in enumerate(blocks):
         if off <= lo and hi < off + n:
             break
@@ -230,12 +220,7 @@ def invalid_mass(state: np.ndarray, problem: RotamerProblem) -> float:
     m = _num_qubits(state)
     if problem.num_qubits != m:
         raise ValueError("state and problem widths disagree")
-    idx = np.arange(state.size)
-    valid = np.ones(state.size, dtype=bool)
-    for off, n in problem.blocks:
-        weight = np.zeros(state.size, dtype=np.int32)
-        for q in range(off, off + n):
-            weight += (idx >> q) & 1
-        valid &= weight == 1
+    invalid = np.ones(state.size, dtype=bool)
+    invalid[one_hot_basis(problem.blocks)] = False
     probs = np.abs(state) ** 2
-    return float(probs[~valid].sum())
+    return float(probs[invalid].sum())

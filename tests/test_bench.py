@@ -125,10 +125,6 @@ class TestFitScaling:
         assert all(m >= 15 for m, _ in fit.points)
         assert len(fit.points) == 11
 
-    def test_predict_inverts_the_log(self):
-        fit = fit_scaling(planted_points(0.2, -1.0, range(8, 14)))
-        assert fit.predict(20.0) == pytest.approx(math.exp(-1.0 + 0.2 * 20))
-
     def test_too_few_points_after_cut(self):
         points = planted_points(0.1, 0.0, range(10, 16))
         with pytest.raises(ValueError, match="need at least 3"):
@@ -153,7 +149,6 @@ class TestEstimateCrossover:
         )
         expected = ((0.4 - math.log(1e3)) - (0.0 - math.log(1e9))) / 0.15
         assert est.marker == "ok"
-        assert est.bounded
         assert est.crossover_m == pytest.approx(expected, abs=1e-9)
         assert est.interval == pytest.approx((expected, expected))
 
@@ -206,7 +201,6 @@ class TestEstimateCrossover:
         est = estimate_crossover(fit, fit, cpu_rate_hz=1e3, qpu_rate_hz=1e3)
         assert est.marker == "degenerate"
         assert est.crossover_m is None
-        assert not est.bounded
 
     def test_no_classical_advantage_is_unbounded(self):
         est = estimate_crossover(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rotpack._rng import generator, trajectory_seed
-from rotpack.baselines import brute_force
+from rotpack.baselines import SaConfig, brute_force, discrete_anneal, dual_anneal
 from rotpack.driver import (
     FirstGroundState,
     ParameterConvergence,
@@ -27,8 +28,11 @@ from rotpack.driver import (
     write_records_jsonl,
 )
 from rotpack.driver import _BLAS_THREADS, _worker_pool
-from rotpack.problem import decode, random_problem
+from rotpack.problem import decode, load_problem, random_problem
 from rotpack.qubo import build_qubo, qubo_to_ising
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def make_record(**overrides):
@@ -232,6 +236,27 @@ class TestOptimize:
         assert rec.iterations_used == 160
         assert rec.optimizer_restarts >= 1
         assert rec.best_energy == pytest.approx(target)
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    def test_every_solver_stops_below_a_pinned_target(self, backend):
+        # the ground lies below the target, so a ground sample reaches it
+        problem = load_problem(DATA / "dipeptide.json")
+        assert brute_force(problem).ground_energy == pytest.approx(-0.8)
+        rec = optimize(
+            problem,
+            QaoaConfig(
+                regime="xy",
+                p=1,
+                backend=backend,
+                max_iterations=30,
+                stop_mode=FirstGroundState(0.0),
+            ),
+        )
+        assert rec.converged
+        assert rec.first_hit_iteration is not None
+        assert rec.best_energy <= 0.0
+        for anneal in (dual_anneal, discrete_anneal):
+            assert anneal(problem, SaConfig(seed=0), target_energy=0.0).converged
 
     @pytest.mark.filterwarnings("error")
     def test_short_restart_budget_raises_no_warning(self):

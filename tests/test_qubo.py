@@ -40,7 +40,8 @@ class TestQuboAssembly:
         offs = p.block_offsets
         for i in range(5):
             for j in range(i + 2, 5):
-                si, sj = p.block_slice(i), p.block_slice(j)
+                si = slice(offs[i], offs[i] + p.rotamer_counts[i])
+                sj = slice(offs[j], offs[j] + p.rotamer_counts[j])
                 assert np.all(q[si, sj] == 0.0)
 
     def test_penalty_block_form(self):
@@ -53,7 +54,6 @@ class TestQuboAssembly:
             delta = pen.matrix[s, s] - bare[s, s]
             assert np.allclose(delta, lam * (1.0 - np.eye(n)) - lam * np.eye(n))
         assert pen.offset == pytest.approx(2 * lam)
-        assert pen.penalty == lam
 
     def test_penalty_must_be_positive(self):
         p = random_problem(2, 2, seed=0)
@@ -151,8 +151,9 @@ class TestIsingMapping:
         h = qubo_to_ising(q)
         assert h.fields == pytest.approx([1.0])
         assert h.constant == pytest.approx(1.5)
-        assert h.energy_of_bits([0]) == pytest.approx(q.energy([0]))
-        assert h.energy_of_bits([1]) == pytest.approx(q.energy([1]))
+        assert h.energies_of_bits([[0], [1]]) == pytest.approx(
+            [q.energy([0]), q.energy([1])]
+        )
 
     def test_dense_8x8_seed3_exhaustive(self):
         q = random_symmetric_qubo(8, seed=3)

@@ -5,146 +5,13 @@ blocks, compiles three QAOA ansatz families (bare transverse mixer,
 penalty-weighted cost, and a particle-conserving XY mixer on feasible
 states), simulates them on dense statevectors or matrix product states,
 and benchmarks sampling cost against classical annealing.
+
+Import each name from the module that defines it (``rotpack.driver``,
+``rotpack.baselines``, ...). Only the instance model is also read here.
 """
 
-from ._rng import generator, trajectory_seed
-from .baselines import (
-    AnnealResult,
-    BruteForceResult,
-    SaConfig,
-    brute_force,
-    discrete_anneal,
-    dual_anneal,
-    sa_ensemble,
-)
-from .circuits import (
-    REGIMES,
-    AnsatzSpec,
-    Circuit,
-    Gate,
-    ansatz_hamiltonian,
-    assemble_ansatz,
-    build_cost_unitary,
-    build_initial_state,
-    build_mixer,
-    gate_matrix,
-    ring_edge_colors,
-)
-from .depth import (
-    DepthSummary,
-    depth_report,
-    logical_depth,
-    schedule,
-    schedule_trace,
-    uniform_problem,
-)
-from .driver import (
-    EnsembleResult,
-    FirstGroundState,
-    ParameterConvergence,
-    QaoaConfig,
-    RunRecord,
-    aggregate_records,
-    cvar,
-    cvar_of_values,
-    init_params,
-    optimize,
-    run_ensemble,
-    write_records_jsonl,
-)
-from .mps import MpsState, run_circuit_mps
-from .optimizers import ScipyAskTell, make_optimizer
-from .problem import (
-    InvalidBitstring,
-    ProblemFormatError,
-    RotamerProblem,
-    decode,
-    encode,
-    load_problem,
-    random_problem,
-    save_problem,
-    valid_mask,
-)
-from .qubo import (
-    IsingHamiltonian,
-    QuboMatrix,
-    all_bitstring_energies,
-    build_qubo,
-    default_penalty,
-    qubo_to_ising,
-)
-from .statevector import (
-    apply_gate,
-    invalid_mass,
-    run_circuit,
-    sample_state,
-    zero_state,
-)
+from .problem import RotamerProblem, decode, random_problem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "generator",
-    "trajectory_seed",
-    "RotamerProblem",
-    "InvalidBitstring",
-    "ProblemFormatError",
-    "decode",
-    "encode",
-    "valid_mask",
-    "random_problem",
-    "load_problem",
-    "save_problem",
-    "QuboMatrix",
-    "IsingHamiltonian",
-    "build_qubo",
-    "default_penalty",
-    "qubo_to_ising",
-    "all_bitstring_energies",
-    "REGIMES",
-    "Gate",
-    "Circuit",
-    "AnsatzSpec",
-    "gate_matrix",
-    "build_cost_unitary",
-    "build_mixer",
-    "build_initial_state",
-    "ring_edge_colors",
-    "ansatz_hamiltonian",
-    "assemble_ansatz",
-    "DepthSummary",
-    "schedule",
-    "schedule_trace",
-    "logical_depth",
-    "depth_report",
-    "uniform_problem",
-    "zero_state",
-    "apply_gate",
-    "run_circuit",
-    "sample_state",
-    "invalid_mass",
-    "MpsState",
-    "run_circuit_mps",
-    "ScipyAskTell",
-    "make_optimizer",
-    "FirstGroundState",
-    "ParameterConvergence",
-    "QaoaConfig",
-    "RunRecord",
-    "EnsembleResult",
-    "cvar",
-    "cvar_of_values",
-    "init_params",
-    "optimize",
-    "run_ensemble",
-    "aggregate_records",
-    "write_records_jsonl",
-    "BruteForceResult",
-    "brute_force",
-    "SaConfig",
-    "AnnealResult",
-    "dual_anneal",
-    "discrete_anneal",
-    "sa_ensemble",
-    "__version__",
-]
+__all__ = ["RotamerProblem", "decode", "random_problem", "__version__"]

@@ -1,32 +1,11 @@
-"""Benchmark orchestration, scaling fits, and report generation."""
+"""Benchmark orchestration, scaling fits, and report generation.
 
-from .fits import CrossoverEstimate, ScalingFit, estimate_crossover, fit_scaling
-from .orchestrate import load_summaries, run_cell, run_experiment
-from .plans import BenchPlan, CellSpec, cell_key, load_plan, save_plan
-from .reports import (
-    REFERENCE_DEPTHS,
-    crossover_report,
-    depth_table,
-    format_depth_table,
-    write_reports,
-)
+Import each name from its module (``plans``, ``orchestrate``, ``fits``,
+``reports``, ``cli``). Only a plan's types and ``run_experiment`` are
+also read here.
+"""
 
-__all__ = [
-    "BenchPlan",
-    "CellSpec",
-    "cell_key",
-    "load_plan",
-    "save_plan",
-    "run_experiment",
-    "run_cell",
-    "load_summaries",
-    "ScalingFit",
-    "fit_scaling",
-    "CrossoverEstimate",
-    "estimate_crossover",
-    "REFERENCE_DEPTHS",
-    "depth_table",
-    "format_depth_table",
-    "crossover_report",
-    "write_reports",
-]
+from .orchestrate import run_experiment
+from .plans import BenchPlan, CellSpec
+
+__all__ = ["BenchPlan", "CellSpec", "run_experiment"]

@@ -174,9 +174,20 @@ def crossover_report(
     classical_series: str | None = None,
     fit_start_m: float | None = None,
 ) -> dict:
-    """Crossover estimate between one quantum and one classical series."""
+    """Crossover estimate between one quantum and one classical series.
+
+    A series left unnamed defaults to the first ``qaoa*`` (``sa*``) series
+    by name whose fit is usable, or the first by name if none is.
+    """
     fits = fit_series(summaries, fit_start_m=fit_start_m)
     return _crossover(fits, cpu_ghz, qpu_khz, quantum_series, classical_series)
+
+
+def _default_series(fits: Fits, prefix: str) -> str | None:
+    """The first series by name with a usable fit, else the first by name."""
+    names = [s for s in fits if s.startswith(prefix)]
+    usable = (s for s in names if not isinstance(fits[s][1], ValueError))
+    return next(usable, names[0] if names else None)
 
 
 def _crossover(
@@ -187,9 +198,9 @@ def _crossover(
     classical_series: str | None = None,
 ) -> dict:
     if quantum_series is None:
-        quantum_series = next((s for s in fits if s.startswith("qaoa")), None)
+        quantum_series = _default_series(fits, "qaoa")
     if classical_series is None:
-        classical_series = next((s for s in fits if s.startswith("sa")), None)
+        classical_series = _default_series(fits, "sa")
     if quantum_series is None or classical_series is None:
         raise ValueError("need one qaoa series and one sa series to compare")
     chosen = {name: fits.get(name) for name in (quantum_series, classical_series)}
@@ -244,7 +255,8 @@ def write_reports(
     """Write scaling.csv, convergence_tables.csv, fits.json, and, when both
     device rates are given, crossover.json. Returns the written paths.
 
-    Each series is fitted once. The crossover is estimated from those fits
+    Each series is fitted once. The crossover, between the series
+    ``crossover_report`` picks by default, is estimated from those fits
     as computed; only the values written are rounded. A crossover that
     cannot be estimated raises ValueError before any file is written, and
     each file is written whole or not at all.

@@ -240,15 +240,13 @@ def optimize(
         if spec.regime == "xy":
             # every block stays at weight one: keep only those amplitudes
             state0 = sv.one_hot_state(init_circuit, blocks)
-            phase_profile = all_bitstring_energies(
-                h_opt, sv.one_hot_basis(blocks)
-            ).reshape(state0.shape)
-            sample_blocks = blocks
+            basis = sv.one_hot_basis(blocks)
+            phase_profile = all_bitstring_energies(h_opt, basis).reshape(state0.shape)
             apply = functools.partial(sv.apply_one_hot_gate, blocks=blocks)
         else:
             state0 = sv.run_circuit(init_circuit)
             phase_profile = all_bitstring_energies(h_opt)
-            sample_blocks = None
+            basis = None
             apply = sv.apply_gate
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -258,7 +256,7 @@ def optimize(
                 mixer = build_mixer(spec.regime, blocks, float(params[2 * k + 1]))
                 for g in mixer.gates:
                     apply(state, g)
-            return sv.sample_state(state, shots, rng, sample_blocks), {}
+            return sv.sample_state(state, shots, rng, basis), {}
 
     else:
 
@@ -425,7 +423,13 @@ def run_ensemble(
     *,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Independent seeded trajectories plus aggregate statistics."""
+    """Independent seeded trajectories plus aggregate statistics.
+
+    With ``workers > 1`` the trajectories run in a process pool (see
+    ``_worker_pool``) whose workers re-import the calling script, so a
+    script must make this call under ``if __name__ == "__main__":``; an
+    unguarded one dies with ``BrokenProcessPool``.
+    """
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
     if workers > 1:
@@ -452,6 +456,10 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     BLAS thread and imported this module; the parent's environment is
     restored once the server runs. The server lives as long as the
     interpreter, so later pools reuse it.
+
+    Each worker imports the parent's ``__main__`` module by path, as
+    spawned workers do, so a script that uses the pool must guard its
+    entry point with ``if __name__ == "__main__":``.
     """
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([__name__])

@@ -192,23 +192,24 @@ def sample_state(
     state: np.ndarray,
     shots: int,
     rng: np.random.Generator,
-    blocks: Sequence[tuple[int, int]] | None = None,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw measurement outcomes; returns a (shots, M) bit array.
 
-    With ``blocks``, ``state`` is a one-hot state over those residue
-    blocks and each drawn position maps to its basis index.
+    With ``basis`` (from ``one_hot_basis``), ``state`` is a one-hot state
+    and each drawn position maps to its basis index; M is the bit length
+    of the largest index, which sets the last block's last qubit.
     Deterministic for a given generator state. Probabilities are
     renormalized to absorb float drift from long circuits.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    if blocks is None:
-        m, basis = _num_qubits(state), None
+    if basis is None:
+        m = _num_qubits(state)
     else:
-        m, basis = max(o + n for o, n in blocks), one_hot_basis(blocks)
+        m = int(basis[-1]).bit_length()
         if basis.size != state.size:
-            raise ValueError("state size does not match the blocks")
+            raise ValueError("state size does not match the basis")
     probs = np.abs(state.ravel()) ** 2
     probs /= probs.sum()
     positions = rng.choice(probs.size, size=shots, p=probs)

@@ -9,14 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import problems
-from rotpack import (
-    RotamerProblem,
-    build_qubo,
-    decode,
-    default_penalty,
-    random_problem,
-    valid_mask,
-)
 from rotpack._rng import trajectory_seed
 from rotpack.baselines import (
     AnnealResult,
@@ -26,6 +18,8 @@ from rotpack.baselines import (
     dual_anneal,
     sa_ensemble,
 )
+from rotpack.problem import RotamerProblem, decode, random_problem, valid_mask
+from rotpack.qubo import build_qubo, default_penalty
 
 
 def tiny_problem() -> RotamerProblem:

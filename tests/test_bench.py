@@ -9,27 +9,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotpack.bench import (
-    BenchPlan,
-    CellSpec,
+from rotpack.bench.cli import main
+from rotpack.bench.fits import (
     ScalingFit,
-    cell_key,
-    crossover_report,
-    depth_table,
+    default_fit_start,
     estimate_crossover,
     fit_scaling,
-    format_depth_table,
-    load_plan,
+)
+from rotpack.bench.orchestrate import (
+    cell_problem,
+    cell_target_energy,
     load_summaries,
     run_cell,
     run_experiment,
-    save_plan,
+)
+from rotpack.bench.plans import BenchPlan, CellSpec, cell_key, load_plan, save_plan
+from rotpack.bench.reports import (
+    REFERENCE_DEPTHS,
+    crossover_report,
+    depth_table,
+    format_depth_table,
+    scaling_points,
     write_reports,
 )
-from rotpack.bench.cli import main
-from rotpack.bench.fits import default_fit_start
-from rotpack.bench.orchestrate import cell_problem, cell_target_energy
-from rotpack.bench.reports import REFERENCE_DEPTHS, scaling_points
 from rotpack.problem import random_problem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -666,6 +668,37 @@ class TestCli:
         assert code == 1
         assert "no usable fit" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "crossover.json").exists()
+
+    def test_report_skips_a_series_it_cannot_fit(self, tmp_path, capsys):
+        # qaoa-penalty sorts first but has one cell; qaoa-xy and sa fit
+        summaries = [synthetic_summary("qaoa-penalty-statevector", 10, 5.0)]
+        summaries += [
+            synthetic_summary("qaoa-xy-statevector", m, math.exp(0.3 + 0.05 * m))
+            for m in (15, 18, 21, 24)
+        ]
+        summaries += [
+            synthetic_summary("sa-discrete", m, math.exp(0.1 + 0.2 * m))
+            for m in (18, 21, 24, 27)
+        ]
+        for summary in summaries:
+            cell_dir = tmp_path / "cells" / summary["key"]
+            cell_dir.mkdir(parents=True)
+            (cell_dir / "summary.json").write_text(json.dumps(summary))
+        tree = str(tmp_path)
+        rates = ["--fit-start-m", "0", "--cpu-ghz", "1", "--qpu-khz", "1"]
+        assert main(["report", "--in", tree, *rates]) == 0
+        capsys.readouterr()
+        written = (tmp_path / "reports" / "crossover.json").read_text()
+        named = [
+            "--quantum-series",
+            "qaoa-xy-statevector",
+            "--classical-series",
+            "sa-discrete",
+        ]
+        assert main(["crossover", "--in", tree, *rates, *named]) == 0
+        assert capsys.readouterr().out == written
+        assert main(["crossover", "--in", tree, *rates]) == 0
+        assert capsys.readouterr().out == written
 
     def test_run_and_report_commands(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

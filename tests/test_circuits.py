@@ -450,7 +450,7 @@ class TestInitialState:
     def test_multi_block_support_is_valid_set(self, problem):
         state = run_circuit(build_initial_state("xy", problem.blocks))
         bits = all_bitstrings(problem.num_qubits)
-        from rotpack import valid_mask
+        from rotpack.problem import valid_mask
 
         valid = valid_mask(bits, problem)
         support = np.abs(state) > 1e-12

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -429,6 +431,36 @@ class TestEnsemble:
         assert [strip(r) for r in seq.results] == [strip(r) for r in par.results]
         assert [r.trajectory_id for r in seq.results] == [0, 1, 2, 3]
         assert seq.success_ratio == 1.0
+
+    def test_guarded_script_runs_a_pool(self, tmp_path):
+        script = tmp_path / "ensemble.py"
+        script.write_text(
+            "import dataclasses, json\n"
+            "from rotpack.driver import QaoaConfig, run_ensemble\n"
+            "from rotpack.problem import random_problem\n"
+            "\n"
+            'if __name__ == "__main__":\n'
+            "    problem = random_problem(2, 2, seed=1)\n"
+            '    cfg = QaoaConfig(regime="xy", seed=9, max_iterations=20)\n'
+            "    result = run_ensemble(problem, cfg, 3, workers=2)\n"
+            "    records = [dataclasses.asdict(r) for r in result.results]\n"
+            '    print(json.dumps([r | {"wall_time": 0.0} for r in records]))\n'
+        )
+        path = [str(DATA.parent / "src"), os.getenv("PYTHONPATH")]
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        cfg = QaoaConfig(regime="xy", seed=9, max_iterations=20)
+        local = run_ensemble(random_problem(2, 2, seed=1), cfg, 3, workers=1)
+        records = [dataclasses.asdict(r) | {"wall_time": 0.0} for r in local.results]
+        assert done.stdout == json.dumps(records) + "\n"
 
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 
 from rotpack.baselines import SaConfig, brute_force, sa_ensemble
-from rotpack.bench import load_plan, run_experiment
+from rotpack.bench import run_experiment
+from rotpack.bench.plans import load_plan
 from rotpack.driver import (
     FirstGroundState,
     ParameterConvergence,

@@ -9,11 +9,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import problems
-from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz
+from rotpack.circuits import (
+    AnsatzSpec,
+    Circuit,
+    Gate,
+    ansatz_hamiltonian,
+    assemble_ansatz,
+    build_initial_state,
+    build_mixer,
+)
 from rotpack.driver import init_params
-from rotpack.mps import MpsState, run_circuit_mps
+from rotpack.mps import MAX_BOND, MpsState, run_circuit_mps
 from rotpack.problem import random_problem
-from rotpack.statevector import run_circuit, sample_state
+from rotpack.qubo import all_bitstring_energies
+from rotpack.statevector import (
+    apply_one_hot_gate,
+    one_hot_basis,
+    one_hot_state,
+    run_circuit,
+    sample_state,
+)
 
 
 def ghz_circuit(num_qubits: int) -> Circuit:
@@ -162,6 +177,50 @@ class TestAgainstDense:
         assert np.abs(amps[1:-1]).max() < 1e-12
         assert state.max_bond_reached == 2
         assert set(state.bond_dimensions()) == {2}
+
+
+def amplitudes_at(state: MpsState, basis: np.ndarray) -> np.ndarray:
+    """The MPS amplitude of each basis index, contracted site by site."""
+    acc = np.ones((basis.size, 1), dtype=complex)  # (index, bond)
+    for q, t in enumerate(state.tensors):
+        bit = (basis >> q) & 1
+        out = np.empty((basis.size, t.shape[2]), dtype=complex)
+        for b in (0, 1):
+            out[bit == b] = acc[bit == b] @ t[:, b, :]
+        acc = out
+    return acc[:, 0]
+
+
+def one_hot_reference(problem, gamma: float, beta: float, p: int) -> np.ndarray:
+    """The layer-tied xy ansatz as a one-hot tensor."""
+    blocks = problem.blocks
+    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=p))
+    state = one_hot_state(build_initial_state("xy", blocks), blocks)
+    phase = all_bitstring_energies(h, one_hot_basis(blocks)).reshape(state.shape)
+    for _ in range(p):
+        state *= np.exp(-1j * gamma * phase)
+        for g in build_mixer("xy", blocks, beta).gates:
+            apply_one_hot_gate(state, g, blocks)
+    return state.ravel()
+
+
+class TestOneHotOracle:
+    # criterion 7's instances and layer-tied angles, p=2, default bond cap;
+    # 5x7 is 35 qubits, so the MPS is read only on the one-hot basis
+    @pytest.mark.parametrize(
+        "rotamers, gamma, beta",
+        [(3, -0.5485, 0.5362), (5, -0.6175, 0.3649), (7, -0.9459, 0.9606)],
+    )
+    def test_xy_matches_one_hot_state(self, rotamers, gamma, beta):
+        problem = random_problem(5, rotamers, seed=200 + rotamers)
+        spec = AnsatzSpec(regime="xy", p=2)
+        circ = assemble_ansatz(problem, spec, [gamma, beta, gamma, beta])
+        state = run_circuit_mps(circ)
+        got = amplitudes_at(state, one_hot_basis(problem.blocks))
+        want = one_hot_reference(problem, gamma, beta, spec.p)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert state.discarded_weight == 0.0
+        assert state.max_bond_reached < MAX_BOND
 
 
 class TestRouting:

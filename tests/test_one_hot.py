@@ -167,7 +167,7 @@ def test_gates_phase_and_samples_match_dense(shape):
             sv.apply_one_hot_gate(state, g, blocks)
     dense = dense_reference(problem, params)
     assert_matches_dense(state, dense, blocks)
-    got = sv.sample_state(state, 300, np.random.default_rng(8), blocks)
+    got = sv.sample_state(state, 300, np.random.default_rng(8), basis)
     want = sv.sample_state(dense, 300, np.random.default_rng(8))
     assert np.array_equal(got, want)
 
@@ -200,7 +200,7 @@ def test_x_gates_pick_the_starting_configuration():
     blocks = [(0, 3), (3, 2)]
     circuit = Circuit(5, (Gate("x", (4,)), Gate("x", (2,))))
     state = sv.one_hot_state(circuit, blocks)
-    bits = sv.sample_state(state, 4, np.random.default_rng(0), blocks)
+    bits = sv.sample_state(state, 4, np.random.default_rng(0), sv.one_hot_basis(blocks))
     assert np.array_equal(bits, np.tile([0, 0, 1, 0, 1], (4, 1)))
 
 

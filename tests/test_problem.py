@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_bitstrings, problems, problems_with_config
-from rotpack import (
+from rotpack.problem import (
     InvalidBitstring,
     ProblemFormatError,
     RotamerProblem,

@@ -2,17 +2,32 @@
 
 ``perfbench/tracing.py`` wraps rotpack functions and methods by module and
 attribute name; a renamed or deleted one would only surface as a failed
-benchmark run, so it is checked here.
+benchmark run, so it is checked here. Each function and class has one
+import path, its defining module, apart from the few the package levels
+also export; and the README's quick start runs as written.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import inspect
+import io
 import pkgutil
 from pathlib import Path
 
 import rotpack
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the names a package level exports besides its defining module
+FACADE = {
+    ("rotpack", "RotamerProblem"),
+    ("rotpack", "decode"),
+    ("rotpack", "random_problem"),
+    ("rotpack.bench", "BenchPlan"),
+    ("rotpack.bench", "CellSpec"),
+    ("rotpack.bench", "run_experiment"),
+}
 
 
 def _resolve(module_name: str, dotted: str) -> object:
@@ -46,3 +61,36 @@ def test_exported_and_traced_names_resolve():
             missing.append(f"{module_name}.{attr}")
 
     assert missing == []
+
+
+def test_each_export_is_defined_where_it_is_exported():
+    foreign = []
+    packages = pkgutil.walk_packages(rotpack.__path__, "rotpack.")
+    for name in ["rotpack"] + [info.name for info in packages]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if obj.__module__ != name and (name, attr) not in FACADE:
+                foreign.append(f"{name}.{attr} (from {obj.__module__})")
+    assert foreign == []
+    assert rotpack.__all__ == ["RotamerProblem", "decode", "random_problem", "__version__"]
+    assert importlib.import_module("rotpack.bench").__all__ == [
+        "BenchPlan",
+        "CellSpec",
+        "run_experiment",
+    ]
+
+
+def test_readme_quick_start_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "-0.8 ((0, 1),)"
+    assert lines[1].split()[0] == "True"

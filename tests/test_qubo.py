@@ -6,18 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_bitstrings, problems
-from rotpack import (
+from rotpack.problem import RotamerProblem, decode, random_problem, valid_mask
+from rotpack.qubo import (
     IsingHamiltonian,
     QuboMatrix,
     all_bitstring_energies,
     build_qubo,
-    decode,
     default_penalty,
     qubo_to_ising,
-    random_problem,
-    valid_mask,
 )
-from rotpack.problem import RotamerProblem
 
 
 class TestQuboAssembly:

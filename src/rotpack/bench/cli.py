@@ -75,30 +75,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.command == "run":
-        plan = load_plan(args.plan)
-        summaries = run_experiment(plan, args.out, workers=args.workers)
-        for s in summaries:
-            agg = s["aggregate"]
-            ratio = agg.get("success_ratio")
-            print(
-                f"{s['series']:<24} M={s['num_qubits']:<4}"
-                f" ratio={ratio if ratio is not None else '-'}"
-                f" mean_cost={agg.get('mean_cost')}"
-            )
-        return 0
-
     try:
-        print(_report(args))
-    except ValueError as exc:
+        print(_output(args))
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     return 0
 
 
-def _report(args: argparse.Namespace) -> str:
-    """What a reading command prints; a failure raises ValueError."""
+def _output(args: argparse.Namespace) -> str:
+    """What a command prints; a bad input raises ValueError or OSError."""
+    if args.command == "run":
+        plan = load_plan(args.plan)
+        summaries = run_experiment(plan, args.out, workers=args.workers)
+        lines = []
+        for s in summaries:
+            agg = s["aggregate"]
+            ratio = agg.get("success_ratio")
+            lines.append(
+                f"{s['series']:<24} M={s['num_qubits']:<4}"
+                f" ratio={ratio if ratio is not None else '-'}"
+                f" mean_cost={agg.get('mean_cost')}"
+            )
+        return "\n".join(lines)
     if args.command == "depth-table":
         return format_depth_table(depth_table(args.max_size))
 

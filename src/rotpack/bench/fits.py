@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import linregress
-
 __all__ = [
     "ScalingFit",
     "fit_scaling",
@@ -56,6 +54,9 @@ def fit_scaling(
     for _, cost in kept:
         if cost <= 0:
             raise ValueError("costs must be positive to fit in log space")
+    # scipy.stats takes a third of a second to import; only fits need it
+    from scipy.stats import linregress
+
     xs = [m for m, _ in kept]
     ys = [math.log(c) for _, c in kept]
     res = linregress(xs, ys)

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..circuits import AnsatzSpec, assemble_ansatz
+from ..circuits import ansatz_hamiltonian, assemble_ansatz
 from ..depth import depth_report, schedule_trace, uniform_problem
 from .fits import ScalingFit, default_fit_start, estimate_crossover, fit_scaling
 from .plans import replacing, write_json
@@ -73,9 +73,8 @@ def depth_table(max_size: int = 7) -> list[dict]:
                 row["cd"] == ref[0] and row["cd_sp"] == ref[1]
             )
             if not row["match"]:
-                circuit = assemble_ansatz(
-                    problem, AnsatzSpec(regime=regime, p=1), [0.5, 0.5]
-                )
+                h = ansatz_hamiltonian(problem, regime)
+                circuit = assemble_ansatz(regime, problem.blocks, h, [0.5, 0.5])
                 row["trace"] = schedule_trace(circuit)
             rows.append(row)
     return rows

@@ -9,8 +9,8 @@ is the more significant bit of the 4x4 basis index.
 Three ansatz regimes are supported:
 
 ``baseline``
-    Unpenalized cost, transverse-field mixer, one valid bitstring as the
-    initial state.
+    Unpenalized cost, transverse-field mixer, and rotamer 0 of every
+    residue as the initial state.
 ``penalty``
     One-hot-penalized cost, transverse-field mixer, same initial state.
 ``xy``
@@ -34,7 +34,6 @@ from .qubo import IsingHamiltonian, build_qubo, default_penalty, qubo_to_ising
 __all__ = [
     "Gate",
     "Circuit",
-    "AnsatzSpec",
     "REGIMES",
     "gate_matrix",
     "build_cost_unitary",
@@ -249,41 +248,29 @@ def build_mixer(
 def build_initial_state(
     regime: str,
     blocks: Sequence[tuple[int, int]],
-    *,
-    config: Sequence[int] | None = None,
 ) -> Circuit:
     """State preparation fragment for a regime.
 
-    Transverse-field regimes start from one valid bitstring: rotamer
-    ``config[i]`` of each residue (first rotamer when no config is given).
-    The xy regime excites qubit 0 of each block and spreads the excitation
-    down the block with A(pi/4, 0) gates on consecutive pairs, leaving a
-    weight-one superposition with all-positive amplitudes. Cascade steps are
+    Transverse-field regimes start from one valid bitstring: rotamer 0 of
+    every residue, an X on each block's first qubit. The xy regime excites
+    the same qubits and spreads each excitation down its block with
+    A(pi/4, 0) gates on consecutive pairs, leaving a weight-one
+    superposition with all-positive amplitudes. Cascade steps are
     interleaved across blocks so step k of every block shares a layer.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     m = max(o + n for o, n in blocks)
-    gates: list[Gate] = []
-    if regime in ("baseline", "penalty"):
-        chosen = config if config is not None else [0] * len(blocks)
-        if len(chosen) != len(blocks):
-            raise ValueError("config length does not match residue count")
-        for (off, n), c in zip(blocks, chosen):
-            if not 0 <= int(c) < n:
-                raise ValueError("config rotamer out of range")
-            gates.append(Gate("x", (off + int(c),)))
-        return Circuit(num_qubits=m, gates=tuple(gates))
-    if config is not None:
-        raise ValueError("xy initial state takes no bitstring override")
-    for off, _ in blocks:
-        gates.append(Gate("x", (off,)))
-    max_n = max(n for _, n in blocks)
-    for k in range(max_n - 1):
-        for off, n in blocks:
-            if k + 1 < n:
-                # new qubit listed first: keeps the spread amplitudes positive
-                gates.append(Gate("a", (off + k + 1, off + k), (math.pi / 4.0, 0.0)))
+    gates = [Gate("x", (off,)) for off, _ in blocks]
+    if regime == "xy":
+        max_n = max(n for _, n in blocks)
+        for k in range(max_n - 1):
+            for off, n in blocks:
+                if k + 1 < n:
+                    # new qubit listed first: keeps the spread amplitudes positive
+                    gates.append(
+                        Gate("a", (off + k + 1, off + k), (math.pi / 4.0, 0.0))
+                    )
     return Circuit(num_qubits=m, gates=tuple(gates))
 
 
@@ -291,65 +278,49 @@ def build_initial_state(
 # Full ansatz
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
-    """What to build: regime, depth, and knobs that feed the cost model.
-
-    ``penalty`` only applies to the penalty regime (None picks the
-    instance's guaranteed-separating default). ``init_config`` overrides
-    the transverse-field regimes' starting bitstring.
-    """
-
-    regime: str
-    p: int
-    penalty: float | None = None
-    init_config: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.p < 1:
-            raise ValueError("need at least one ansatz layer")
-        if self.regime != "penalty" and self.penalty is not None:
-            raise ValueError(f"{self.regime} regime does not take a penalty")
-
-
 def ansatz_hamiltonian(
-    problem: RotamerProblem, spec: AnsatzSpec
+    problem: RotamerProblem, regime: str, penalty: float | None = None
 ) -> IsingHamiltonian:
-    """The spin Hamiltonian the ansatz evolves under (penalized iff penalty regime)."""
-    if spec.regime == "penalty":
-        lam = spec.penalty if spec.penalty is not None else default_penalty(problem)
-        return qubo_to_ising(build_qubo(problem, penalty=lam))
-    return qubo_to_ising(build_qubo(problem))
+    """The spin Hamiltonian a regime's ansatz evolves under.
+
+    Only the penalty regime is penalized; ``penalty`` applies to it alone,
+    and None picks the instance's guaranteed-separating default.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if regime != "penalty":
+        if penalty is not None:
+            raise ValueError(f"{regime} regime does not take a penalty")
+        return qubo_to_ising(build_qubo(problem))
+    lam = penalty if penalty is not None else default_penalty(problem)
+    return qubo_to_ising(build_qubo(problem, penalty=lam))
 
 
 def assemble_ansatz(
-    problem: RotamerProblem,
-    spec: AnsatzSpec,
+    regime: str,
+    blocks: Sequence[tuple[int, int]],
+    h: IsingHamiltonian,
     params: Sequence[float],
 ) -> Circuit:
-    """Initial state followed by p alternating cost/mixer applications.
+    """The regime's initial state, then p cost/mixer applications.
 
-    ``params`` interleaves the angles as (gamma_1, beta_1, ..., gamma_p,
-    beta_p).
+    The cost layers evolve under ``h`` (see :func:`ansatz_hamiltonian`);
+    ``params`` interleaves the 2p angles as (gamma_1, beta_1, ...,
+    gamma_p, beta_p), so p is half its length.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (2 * spec.p,):
-        raise ValueError(f"expected {2 * spec.p} parameters, got {params.shape}")
-    h = ansatz_hamiltonian(problem, spec)
-    blocks = problem.blocks
-    init = build_initial_state(spec.regime, blocks, config=spec.init_config)
+    if params.ndim != 1 or params.size == 0 or params.size % 2:
+        raise ValueError(f"expected 2p angles with p >= 1, got shape {params.shape}")
+    init = build_initial_state(regime, blocks)
     gates = list(init.gates)
     phase = init.phase
-    for k in range(spec.p):
-        cost = build_cost_unitary(h, float(params[2 * k]))
-        mixer = build_mixer(spec.regime, blocks, float(params[2 * k + 1]))
+    for gamma, beta in params.reshape(-1, 2).tolist():
+        cost = build_cost_unitary(h, gamma)
         gates.extend(cost.gates)
-        gates.extend(mixer.gates)
+        gates.extend(build_mixer(regime, blocks, beta).gates)
         phase += cost.phase
     return Circuit(
-        num_qubits=problem.num_qubits,
+        num_qubits=h.num_spins,
         gates=tuple(gates),
         prep_len=len(init.gates),
         phase=phase,

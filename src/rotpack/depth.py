@@ -21,7 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CNOT_COST, DIAGONAL_KINDS, AnsatzSpec, Circuit, Gate, assemble_ansatz
+from .circuits import (
+    CNOT_COST,
+    DIAGONAL_KINDS,
+    Circuit,
+    Gate,
+    ansatz_hamiltonian,
+    assemble_ansatz,
+)
 from .problem import RotamerProblem
 
 __all__ = [
@@ -151,9 +158,8 @@ def depth_report(problem: RotamerProblem, regime: str, p: int = 1) -> dict:
     Depth depends only on which Hamiltonian terms are nonzero, and every
     penalty weight gives the same terms, so the default weight stands in.
     """
-    spec = AnsatzSpec(regime=regime, p=p)
-    params = [0.5] * (2 * p)
-    circuit = assemble_ansatz(problem, spec, params)
+    h = ansatz_hamiltonian(problem, regime)
+    circuit = assemble_ansatz(regime, problem.blocks, h, [0.5] * (2 * p))
     with_prep = logical_depth(circuit, include_state_prep=True)
     without = logical_depth(circuit, include_state_prep=False)
     counts = set(problem.rotamer_counts)

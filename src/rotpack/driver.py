@@ -36,13 +36,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._rng import generator, trajectory_seed
-from .circuits import AnsatzSpec, REGIMES, assemble_ansatz, build_initial_state, build_mixer
-from .mps import MAX_BOND, TRUNCATION_THRESHOLD, run_circuit_mps
+from .circuits import (
+    REGIMES,
+    ansatz_hamiltonian,
+    assemble_ansatz,
+    build_initial_state,
+    build_mixer,
+)
+from .mps import MAX_BOND, run_circuit_mps
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
 from . import statevector as sv
-from .circuits import ansatz_hamiltonian
 
 __all__ = [
     "FirstGroundState",
@@ -110,10 +115,8 @@ class QaoaConfig:
     seed: int = 0
     backend: str = "statevector"
     max_bond: int = MAX_BOND
-    truncation_threshold: float = TRUNCATION_THRESHOLD
     penalty: float | None = None
     optimizer: str = "cobyla"
-    init_config: tuple[int, ...] | None = None
     stop_mode: FirstGroundState | ParameterConvergence = ParameterConvergence()
 
     def __post_init__(self) -> None:
@@ -222,22 +225,16 @@ def optimize(
     seed = trajectory_seed(config.seed, trajectory_id)
     rng = generator(seed)
 
-    spec = AnsatzSpec(
-        regime=config.regime,
-        p=config.p,
-        penalty=config.penalty,
-        init_config=config.init_config,
-    )
-    h_opt = ansatz_hamiltonian(problem, spec)
+    regime = config.regime
+    blocks = problem.blocks
+    # one Hamiltonian per trajectory: the cost layers and CVaR share it
+    h_opt = ansatz_hamiltonian(problem, regime, config.penalty)
     bare_qubo = build_qubo(problem)
 
     if config.backend == "statevector":
-        blocks = problem.blocks
-        init_circuit = build_initial_state(
-            spec.regime, blocks, config=spec.init_config
-        )
+        init_circuit = build_initial_state(regime, blocks)
         # the cost layer is diagonal: apply it as one exact phase profile
-        if spec.regime == "xy":
+        if regime == "xy":
             # every block stays at weight one: keep only those amplitudes
             state0 = sv.one_hot_state(init_circuit, blocks)
             basis = sv.one_hot_basis(blocks)
@@ -251,9 +248,9 @@ def optimize(
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
             state = state0.copy()
-            for k in range(spec.p):
+            for k in range(config.p):
                 state *= np.exp(-1j * float(params[2 * k]) * phase_profile)
-                mixer = build_mixer(spec.regime, blocks, float(params[2 * k + 1]))
+                mixer = build_mixer(regime, blocks, float(params[2 * k + 1]))
                 for g in mixer.gates:
                     apply(state, g)
             return sv.sample_state(state, shots, rng, basis), {}
@@ -261,12 +258,8 @@ def optimize(
     else:
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
-            circuit = assemble_ansatz(problem, spec, params)
-            mstate = run_circuit_mps(
-                circuit,
-                max_bond=config.max_bond,
-                threshold=config.truncation_threshold,
-            )
+            circuit = assemble_ansatz(regime, blocks, h_opt, params)
+            mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
             meta = {
                 "max_bond_reached": mstate.max_bond_reached,
                 "discarded_weight": mstate.discarded_weight,

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rotpack import random_problem
+from rotpack.circuits import ansatz_hamiltonian, assemble_ansatz
 
 
 def all_bitstrings(num_qubits: int) -> np.ndarray:
@@ -14,6 +15,12 @@ def all_bitstrings(num_qubits: int) -> np.ndarray:
     """
     idx = np.arange(1 << num_qubits, dtype=np.int64)
     return ((idx[:, None] >> np.arange(num_qubits)[None, :]) & 1).astype(np.uint8)
+
+
+def ansatz_circuit(problem, regime, params):
+    """The regime's ansatz for ``problem`` at the 2p angles ``params``."""
+    h = ansatz_hamiltonian(problem, regime)
+    return assemble_ansatz(regime, problem.blocks, h, params)
 
 
 @st.composite

@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 
+from helpers import ansatz_circuit
 from rotpack import random_problem
 from rotpack import statevector as sv
 from rotpack.baselines import SaConfig, brute_force, sa_ensemble
 from rotpack.bench.fits import ScalingFit, estimate_crossover, fit_scaling
 from rotpack.bench.reports import depth_table, format_depth_table
-from rotpack.circuits import AnsatzSpec, assemble_ansatz
 from rotpack.driver import (
     FirstGroundState,
     QaoaConfig,
@@ -157,7 +157,7 @@ def test_mixer_stays_in_valid_subspace():
         params = np.empty(2 * p)
         params[0::2] = rng.uniform(-0.5, 0.5, size=p)
         params[1::2] = rng.uniform(-1.0, 1.0, size=p)
-        circuit = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=p), params)
+        circuit = ansatz_circuit(problem, "xy", params)
         state = sv.run_circuit(circuit)
         worst_leak = max(worst_leak, sv.invalid_mass(state, problem))
         samples = sv.sample_state(state, shots_each, np.random.default_rng(800 + i))
@@ -215,7 +215,7 @@ def test_mps_sampling_matches_statevector():
         params = np.empty(2 * p)
         params[0::2] = rng.uniform(-0.5, 0.5, size=p)
         params[1::2] = rng.uniform(-1.0, 1.0, size=p)
-        circuit = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=p), params)
+        circuit = ansatz_circuit(problem, "xy", params)
 
         exact = np.abs(sv.run_circuit(circuit)) ** 2
         # bond cap far above the 2**6 worst case at 12 qubits, no truncation

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -620,10 +623,27 @@ def smoke_tree(tmp_path_factory) -> Path:
     return out
 
 
+# a plan cell whose solver settings are rejected before any cell runs
+BAD_REGIME_CELL = {"num_residues": 2, "rotamers": 2, "qaoa": {"regime": "adiabatic"}}
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "argv, err",
         [
+            (
+                ["run", "--plan", "EMPTY/bad-regime.json", "--out", "EMPTY/out"],
+                f"cell {cell_key(CellSpec(**BAD_REGIME_CELL))} (qaoa, 2x2):"
+                " unknown regime 'adiabatic'\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/no-cells.json", "--out", "EMPTY/out"],
+                "plan has no cells\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
+                "[Errno 2] No such file or directory: 'EMPTY/missing.json'\n",
+            ),
             (["fit", "--in", "EMPTY"], "no cell summaries found\n"),
             (
                 ["crossover", "--in", "EMPTY", "--cpu-ghz", "1", "--qpu-khz", "1"],
@@ -636,14 +656,42 @@ class TestCli:
             ),
             (["depth-table", "--max-size", "1"], "max_size must be at least 2\n"),
         ],
-        ids=["fit-empty", "crossover-empty", "report-empty", "report-smoke", "depth-1"],
+        ids=[
+            "run-bad-regime",
+            "run-no-cells",
+            "run-missing-plan",
+            "fit-empty",
+            "crossover-empty",
+            "report-empty",
+            "report-smoke",
+            "depth-1",
+        ],
     )
     def test_failing_command_prints_one_error_line(
         self, argv, err, tmp_path, smoke_tree, capsys
     ):
-        places = {"EMPTY": str(tmp_path), "SMOKE": str(smoke_tree)}
-        assert main([places.get(a, a) for a in argv]) == 1
-        assert capsys.readouterr() == ("", err)
+        for name, cells in (("bad-regime", [BAD_REGIME_CELL]), ("no-cells", [])):
+            plan = {"name": name, "cells": cells}
+            (tmp_path / f"{name}.json").write_text(json.dumps(plan))
+
+        def place(text: str) -> str:
+            for mark, path in (("EMPTY", tmp_path), ("SMOKE", smoke_tree)):
+                text = text.replace(mark, str(path))
+            return text
+
+        assert main([place(a) for a in argv]) == 1
+        assert capsys.readouterr() == ("", place(err))
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_leaves_scipy_stats_unloaded(self):
+        # only fits need scipy.stats; run and depth-table should not pay for it
+        path = [str(ROOT / "src"), os.getenv("PYTHONPATH")]
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import sys, rotpack.bench.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     def test_depth_table_command(self, capsys):
         assert main(["depth-table", "--max-size", "3"]) == 0

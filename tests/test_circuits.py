@@ -8,10 +8,9 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import all_bitstrings, problems
+from helpers import all_bitstrings, ansatz_circuit, problems
 from rotpack.circuits import (
     CNOT_COST,
-    AnsatzSpec,
     Circuit,
     Gate,
     ansatz_hamiltonian,
@@ -134,9 +133,7 @@ class TestCircuitValidation:
 
     def test_layers_are_disjoint(self):
         problem = random_problem(3, 3, seed=2)
-        circ = assemble_ansatz(
-            problem, AnsatzSpec(regime="baseline", p=1), [0.3, 0.7]
-        )
+        circ = ansatz_circuit(problem, "baseline", [0.3, 0.7])
         for layer in schedule(circ.gates):
             touched = [q for k in layer.gate_indices for q in circ.gates[k].qubits]
             assert len(touched) == len(set(touched))
@@ -389,23 +386,6 @@ class TestInitialState:
         state = run_circuit(circ)
         assert state[(1 << 0) | (1 << 3)] == 1.0
 
-    def test_configuration_override(self):
-        circ = build_initial_state("penalty", [(0, 3), (3, 2)], config=(2, 1))
-        state = run_circuit(circ)
-        assert state[(1 << 2) | (1 << 4)] == 1.0
-
-    def test_bad_configuration(self):
-        with pytest.raises(ValueError, match="does not match residue count"):
-            build_initial_state("baseline", [(0, 2), (2, 2)], config=(0,))
-        with pytest.raises(ValueError, match="rotamer out of range"):
-            build_initial_state("baseline", [(0, 2)], config=(2,))
-        with pytest.raises(ValueError, match="rotamer out of range"):
-            build_initial_state("baseline", [(0, 2)], config=(-1,))
-
-    def test_xy_rejects_override(self):
-        with pytest.raises(ValueError, match="no bitstring override"):
-            build_initial_state("xy", [(0, 2)], config=(0,))
-
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="unknown regime"):
             build_initial_state("wsp", [(0, 2)])
@@ -470,20 +450,25 @@ class TestInitialState:
 
 class TestAnsatz:
     def test_spec_validation(self):
+        problem = random_problem(2, 2, seed=0)
+        h = ansatz_hamiltonian(problem, "baseline")
         with pytest.raises(ValueError, match="unknown regime"):
-            AnsatzSpec(regime="adiabatic", p=1)
-        with pytest.raises(ValueError, match="at least one ansatz layer"):
-            AnsatzSpec(regime="baseline", p=0)
+            ansatz_hamiltonian(problem, "adiabatic")
+        with pytest.raises(ValueError, match="unknown regime"):
+            assemble_ansatz("adiabatic", problem.blocks, h, [0.1, 0.2])
         with pytest.raises(ValueError, match="does not take a penalty"):
-            AnsatzSpec(regime="baseline", p=1, penalty=2.0)
+            ansatz_hamiltonian(problem, "baseline", 2.0)
         with pytest.raises(ValueError, match="does not take a penalty"):
-            AnsatzSpec(regime="xy", p=1, penalty=2.0)
+            ansatz_hamiltonian(problem, "xy", 2.0)
+        for params in ([], [0.1], [0.1, 0.2, 0.3]):
+            with pytest.raises(ValueError, match="expected 2p angles"):
+                assemble_ansatz("baseline", problem.blocks, h, params)
 
     def test_hamiltonian_penalized_only_for_penalty_regime(self):
         problem = random_problem(2, 2, seed=3)
-        bare = ansatz_hamiltonian(problem, AnsatzSpec(regime="baseline", p=1))
-        xy = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=1))
-        pen = ansatz_hamiltonian(problem, AnsatzSpec(regime="penalty", p=1))
+        bare = ansatz_hamiltonian(problem, "baseline")
+        xy = ansatz_hamiltonian(problem, "xy")
+        pen = ansatz_hamiltonian(problem, "penalty")
         np.testing.assert_array_equal(bare.couplings, xy.couplings)
         np.testing.assert_array_equal(bare.fields, xy.fields)
         assert bare.constant == xy.constant
@@ -494,23 +479,24 @@ class TestAnsatz:
     def test_explicit_penalty_passes_through(self):
         problem = random_problem(2, 2, seed=3)
         lam = 11.5
-        got = ansatz_hamiltonian(problem, AnsatzSpec(regime="penalty", p=1, penalty=lam))
+        got = ansatz_hamiltonian(problem, "penalty", lam)
         want = qubo_to_ising(build_qubo(problem, penalty=lam))
         np.testing.assert_array_equal(got.couplings, want.couplings)
         assert got.constant == want.constant
 
     def test_parameter_count_checked(self):
+        # 2p angles build p cost/mixer layers
         problem = random_problem(2, 2, seed=0)
-        with pytest.raises(ValueError, match="expected 4 parameters"):
-            assemble_ansatz(problem, AnsatzSpec(regime="baseline", p=2), [0.1, 0.2])
+        for p in (1, 2, 3):
+            circ = ansatz_circuit(problem, "baseline", [0.1, 0.2] * p)
+            assert sum(g.kind == "rx" for g in circ.gates) == p * problem.num_qubits
 
     def test_layer_structure(self):
         problem = random_problem(2, 2, seed=1)
-        spec = AnsatzSpec(regime="baseline", p=2)
         params = [0.3, 0.5, -0.2, 0.9]
-        circ = assemble_ansatz(problem, spec, params)
+        h = ansatz_hamiltonian(problem, "baseline")
+        circ = assemble_ansatz("baseline", problem.blocks, h, params)
         init = build_initial_state("baseline", problem.blocks)
-        h = ansatz_hamiltonian(problem, spec)
         want: list[Gate] = list(init.gates)
         for k in range(2):
             want.extend(build_cost_unitary(h, params[2 * k]).gates)
@@ -521,18 +507,11 @@ class TestAnsatz:
         assert circ.prep_len == len(init.gates)
         assert circ.phase == pytest.approx(-(0.3 + (-0.2)) * h.constant)
 
-    def test_init_config_forwarded(self):
-        problem = random_problem(2, 3, seed=4)
-        spec = AnsatzSpec(regime="baseline", p=1, init_config=(2, 1))
-        circ = assemble_ansatz(problem, spec, [0.0, 0.0])
-        state = run_circuit(circ)
-        assert abs(state[(1 << 2) | (1 << 4)]) == pytest.approx(1.0)
-
     @given(
         problems(max_residues=3, max_rotamers=3, min_rotamers=2),
         st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
     )
     def test_xy_ansatz_never_leaks(self, problem, params):
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), params)
+        circ = ansatz_circuit(problem, "xy", params)
         state = run_circuit(circ)
         assert invalid_mass(state, problem) < 1e-12

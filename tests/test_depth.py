@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import problems
-from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz
+from helpers import ansatz_circuit, problems
+from rotpack.circuits import Circuit, Gate
 from rotpack.depth import (
     commutes,
     depth_report,
@@ -106,14 +106,14 @@ class TestSchedule:
 
     def test_groups_monotone(self):
         problem = uniform_problem(3, 3)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), [0.1] * 4)
+        circ = ansatz_circuit(problem, "xy", [0.1] * 4)
         layers = schedule(circ.gates)
         groups = [l.group for l in layers]
         assert groups == sorted(groups)
 
     @given(problems(max_residues=4, max_rotamers=3, min_rotamers=2), st.sampled_from(["baseline", "penalty", "xy"]))
     def test_layers_partition_two_qubit_gates(self, problem, regime):
-        circ = assemble_ansatz(problem, AnsatzSpec(regime=regime, p=1), [0.3, 0.4])
+        circ = ansatz_circuit(problem, regime, [0.3, 0.4])
         layers = schedule(circ.gates)
         seen = [k for l in layers for k in l.gate_indices]
         two_qubit = [k for k, g in enumerate(circ.gates) if g.is_two_qubit]
@@ -132,7 +132,7 @@ class TestLogicalDepth:
 
     def test_state_prep_toggle(self):
         problem = uniform_problem(2, 3)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=1), [0.2, 0.3])
+        circ = ansatz_circuit(problem, "xy", [0.2, 0.3])
         full = logical_depth(circ, include_state_prep=True)
         bare = logical_depth(circ, include_state_prep=False)
         assert full.cd > bare.cd
@@ -182,7 +182,7 @@ class TestDepthReport:
 
     def test_trace_matches_schedule(self):
         problem = uniform_problem(2, 2)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=1), [0.5, 0.5])
+        circ = ansatz_circuit(problem, "xy", [0.5, 0.5])
         rows = schedule_trace(circ)
         layers = schedule(circ.gates)
         assert len(rows) == len(layers)

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import problems
+from helpers import ansatz_circuit, problems
 from rotpack.circuits import (
-    AnsatzSpec,
     Circuit,
     Gate,
     ansatz_hamiltonian,
-    assemble_ansatz,
     build_initial_state,
     build_mixer,
 )
@@ -40,8 +38,7 @@ def ghz_circuit(num_qubits: int) -> Circuit:
 def entangling_fixture() -> Circuit:
     """A (2, 4) ring-mixer ansatz whose exact bond dimension is 6."""
     problem = random_problem(2, 4, seed=3)
-    spec = AnsatzSpec(regime="xy", p=2)
-    return assemble_ansatz(problem, spec, [0.7, 0.9, -0.4, 0.6])
+    return ansatz_circuit(problem, "xy", [0.7, 0.9, -0.4, 0.6])
 
 
 class TestConstruction:
@@ -123,7 +120,7 @@ class TestAgainstDense:
         st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
     )
     def test_unbounded_chain_is_exact(self, problem, regime, params):
-        circ = assemble_ansatz(problem, AnsatzSpec(regime=regime, p=1), params)
+        circ = ansatz_circuit(problem, regime, params)
         dense = run_circuit(circ)
         state = run_circuit_mps(circ, max_bond=None)
         np.testing.assert_allclose(state.amplitudes(), dense, atol=1e-8)
@@ -194,7 +191,7 @@ def amplitudes_at(state: MpsState, basis: np.ndarray) -> np.ndarray:
 def one_hot_reference(problem, gamma: float, beta: float, p: int) -> np.ndarray:
     """The layer-tied xy ansatz as a one-hot tensor."""
     blocks = problem.blocks
-    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=p))
+    h = ansatz_hamiltonian(problem, "xy")
     state = one_hot_state(build_initial_state("xy", blocks), blocks)
     phase = all_bitstring_energies(h, one_hot_basis(blocks)).reshape(state.shape)
     for _ in range(p):
@@ -213,11 +210,10 @@ class TestOneHotOracle:
     )
     def test_xy_matches_one_hot_state(self, rotamers, gamma, beta):
         problem = random_problem(5, rotamers, seed=200 + rotamers)
-        spec = AnsatzSpec(regime="xy", p=2)
-        circ = assemble_ansatz(problem, spec, [gamma, beta, gamma, beta])
+        circ = ansatz_circuit(problem, "xy", [gamma, beta, gamma, beta])
         state = run_circuit_mps(circ)
         got = amplitudes_at(state, one_hot_basis(problem.blocks))
-        want = one_hot_reference(problem, gamma, beta, spec.p)
+        want = one_hot_reference(problem, gamma, beta, 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         assert state.discarded_weight == 0.0
         assert state.max_bond_reached < MAX_BOND
@@ -232,7 +228,7 @@ class TestRouting:
 
     def test_update_counts_match_closed_form(self):
         problem = random_problem(5, 5, seed=3)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), [0.3] * 4)
+        circ = ansatz_circuit(problem, "xy", [0.3] * 4)
         state = run_circuit_mps(circ)
         assert (state.two_site_updates, state.swap_updates) == expected_updates(circ)
         # routing every two-site gate on its own costs 2(d - 1) + 1 updates
@@ -246,7 +242,7 @@ class TestRouting:
     def test_matches_per_gate_routing_at_benchmark_shapes(self, regime, residues, rotamers):
         problem = random_problem(residues, rotamers, seed=7)
         params = init_params(2, np.random.default_rng(rotamers))
-        circ = assemble_ansatz(problem, AnsatzSpec(regime=regime, p=2), params)
+        circ = ansatz_circuit(problem, regime, params)
         state = run_circuit_mps(circ, max_bond=64)
         ref = per_gate(circ, max_bond=64)
         np.testing.assert_array_equal(
@@ -277,7 +273,7 @@ def count_qr_shifts(monkeypatch) -> list[int]:
 class TestBlockMajor:
     def test_runs_cut_qr_shifts(self, monkeypatch):
         problem = random_problem(5, 5, seed=3)
-        circ = assemble_ansatz(problem, AnsatzSpec(regime="xy", p=2), [0.3] * 4)
+        circ = ansatz_circuit(problem, "xy", [0.3] * 4)
         shifts = count_qr_shifts(monkeypatch)
         state = run_circuit_mps(circ)
         assert shifts[0] == 126

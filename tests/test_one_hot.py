@@ -20,7 +20,6 @@ import rotpack.statevector as sv
 from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import brute_force
 from rotpack.circuits import (
-    AnsatzSpec,
     Circuit,
     Gate,
     ansatz_hamiltonian,
@@ -113,7 +112,7 @@ def test_fixed_budget_trajectories_are_pinned(case, fields):
 def dense_reference(problem, params):
     """The xy ansatz state on all 2^M amplitudes."""
     blocks = problem.blocks
-    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=len(params) // 2))
+    h = ansatz_hamiltonian(problem, "xy")
     table = all_bitstring_energies(h)
     state = sv.run_circuit(build_initial_state("xy", blocks))
     for gamma, beta in zip(params[0::2], params[1::2]):
@@ -157,7 +156,7 @@ def test_gates_phase_and_samples_match_dense(shape):
     problem = random_problem(*shape, seed=5)
     blocks = problem.blocks
     params = np.random.default_rng(3).uniform(-2.0, 2.0, size=4)
-    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="xy", p=2))
+    h = ansatz_hamiltonian(problem, "xy")
     basis = sv.one_hot_basis(blocks)
     state = sv.one_hot_state(build_initial_state("xy", blocks), blocks)
     phase = all_bitstring_energies(h, basis).reshape(state.shape)
@@ -248,7 +247,7 @@ def test_basis_cap_is_checked_before_allocating():
 
 def test_energies_at_indices_equal_the_table():
     problem = random_problem(3, 3, seed=2)
-    h = ansatz_hamiltonian(problem, AnsatzSpec(regime="penalty", p=1))
+    h = ansatz_hamiltonian(problem, "penalty")
     table = all_bitstring_energies(h)
     idx = np.random.default_rng(1).integers(0, table.size, size=40)
     assert np.array_equal(all_bitstring_energies(h, idx), table[idx])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import all_bitstrings, problems
-from rotpack.circuits import AnsatzSpec, Circuit, Gate, assemble_ansatz, gate_matrix
+from helpers import all_bitstrings, ansatz_circuit, problems
+from rotpack.circuits import Circuit, Gate, gate_matrix
 from rotpack.problem import random_problem, valid_mask
 from rotpack.statevector import (
     apply_gate,
@@ -157,7 +157,7 @@ class TestRunCircuit:
         st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
     )
     def test_norm_preserved(self, problem, regime, params):
-        circ = assemble_ansatz(problem, AnsatzSpec(regime=regime, p=1), params)
+        circ = ansatz_circuit(problem, regime, params)
         state = run_circuit(circ)
         assert np.linalg.norm(state) == pytest.approx(1.0)
 
@@ -196,9 +196,7 @@ class TestSampling:
 
     def test_empirical_distribution_close_to_exact(self):
         problem = random_problem(2, 2, seed=19)
-        circ = assemble_ansatz(
-            problem, AnsatzSpec(regime="xy", p=1), [0.4, 0.9]
-        )
+        circ = ansatz_circuit(problem, "xy", [0.4, 0.9])
         state = run_circuit(circ)
         shots = 200000
         bits = sample_state(state, shots, np.random.default_rng(5))

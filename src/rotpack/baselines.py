@@ -20,6 +20,7 @@ restarts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._rng import generator, trajectory_seed
-from .driver import EnsembleResult, ensemble_cost, stop_threshold
+from .driver import EnsembleResult, _run_trajectories, ensemble_cost, stop_threshold
 from .problem import RotamerProblem, bits_to_string, encode, valid_mask
 from .qubo import QuboMatrix, build_qubo, default_penalty
 
@@ -442,26 +443,40 @@ def sa_ensemble(
     *,
     target_energy: float | None = None,
     method: str = "gsa",
+    workers: int = 1,
 ) -> EnsembleResult:
     """Seed-isolated annealing trajectories with ratio-normalized cost.
 
     Cost of a successful trajectory is its evaluation count, accounted by
     :func:`rotpack.driver.ensemble_cost` exactly as for QAOA ensembles.
+    ``workers`` means what it does for :func:`rotpack.driver.run_ensemble`:
+    with ``workers > 1`` the trajectories run in a process pool, so a
+    script must make this call under ``if __name__ == "__main__":``.
     """
-    if num_trajectories < 1:
-        raise ValueError("need at least one trajectory")
     if method not in ("gsa", "discrete"):
         raise ValueError(f"unknown method {method!r}")
-    anneal = dual_anneal if method == "gsa" else discrete_anneal
-    results = []
-    for tid in range(num_trajectories):
-        child = dataclasses.replace(
-            config, seed=trajectory_seed(config.seed, tid)
-        )
-        results.append(anneal(problem, child, target_energy=target_energy))
+    solve = functools.partial(
+        _anneal_trajectory, problem, config, target_energy, method
+    )
+    results = _run_trajectories(solve, num_trajectories, workers=workers)
     return EnsembleResult(
         tuple(results),
         *ensemble_cost(
             [r.evaluations for r in results], [r.converged for r in results]
         ),
     )
+
+
+def _anneal_trajectory(
+    problem: RotamerProblem,
+    config: SaConfig,
+    target_energy: float | None,
+    method: str,
+    trajectory_id: int,
+) -> AnnealResult:
+    """Trajectory ``trajectory_id`` of an annealing ensemble, on its child seed."""
+    anneal = dual_anneal if method == "gsa" else discrete_anneal
+    child = dataclasses.replace(
+        config, seed=trajectory_seed(config.seed, trajectory_id)
+    )
+    return anneal(problem, child, target_energy=target_energy)

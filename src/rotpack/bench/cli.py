@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trajectory parallelism (default: 1)",
+        help="worker processes per cell, QAOA and annealing alike (default: 1)",
     )
 
     p_fit = sub.add_parser("fit", help="fit cost scaling per series")

@@ -100,6 +100,7 @@ def run_cell(cell: CellSpec, cell_dir: Path, *, workers: int = 1) -> dict:
             cell.trajectories,
             target_energy=target,
             method=method,
+            workers=workers,
         )
         cost_unit = "evaluations"
         per_iteration = config.max_iterations

@@ -58,10 +58,6 @@ class CellSpec:
         if self.sa and self.solver == "qaoa":
             raise ValueError("a qaoa cell takes no sa settings")
 
-    @property
-    def num_qubits(self) -> int:
-        return self.num_residues * self.rotamers
-
     def series_name(self) -> str:
         if self.series is not None:
             return self.series
@@ -91,20 +87,32 @@ def cell_key(cell: CellSpec) -> str:
 
 
 def load_plan(path: str | Path) -> BenchPlan:
+    """The plan in a JSON file; raises ValueError, naming the cell by its
+    position, if the document is malformed."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("plan must be a JSON object")
     if "name" not in raw:
         raise ValueError("plan is missing a name")
     if not isinstance(raw.get("cells"), list) or not raw["cells"]:
         raise ValueError("plan has no cells")
+    defaults = raw.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ValueError("plan defaults must be a JSON object")
     names = {f.name for f in dataclasses.fields(CellSpec)}
     cells = []
-    for entry in raw["cells"]:
-        merged = {**raw.get("defaults", {}), **entry}
+    for position, entry in enumerate(raw["cells"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"cells[{position}] must be a JSON object")
+        merged = {**defaults, **entry}
         unknown = set(merged) - names
         if unknown:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
-        cells.append(CellSpec(**merged))
+        try:
+            cells.append(CellSpec(**merged))
+        except TypeError as exc:
+            raise ValueError(f"cells[{position}]: {exc}") from exc
     return BenchPlan(name=raw["name"], cells=tuple(cells))
 
 

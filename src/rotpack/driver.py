@@ -29,9 +29,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -419,25 +418,32 @@ def run_ensemble(
     """Independent seeded trajectories plus aggregate statistics.
 
     With ``workers > 1`` the trajectories run in a process pool (see
-    ``_worker_pool``) whose workers re-import the calling script, so a
-    script must make this call under ``if __name__ == "__main__":``; an
-    unguarded one dies with ``BrokenProcessPool``.
+    ``_worker_pool``), so a script must make this call under
+    ``if __name__ == "__main__":``.
+    """
+    # looked up per call, so a replaced ``optimize`` is the one that runs
+    solve = functools.partial(optimize, problem, config)
+    return aggregate_records(
+        _run_trajectories(solve, num_trajectories, workers=workers)
+    )
+
+
+def _run_trajectories(
+    solve: Callable[[int], object], num_trajectories: int, *, workers: int = 1
+) -> list:
+    """``solve(k)`` for k in ``range(num_trajectories)``, in that order.
+
+    QAOA and annealing ensembles both run their trajectories here. With
+    ``workers > 1`` the calls run in :func:`_worker_pool`; ``solve`` must
+    then pickle, as a module-level function or a ``functools.partial`` of
+    one does.
     """
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
     if workers > 1:
         with _worker_pool(workers) as pool:
-            records = list(
-                pool.map(
-                    optimize, repeat(problem), repeat(config), range(num_trajectories)
-                )
-            )
-    else:
-        records = [
-            optimize(problem, config, trajectory_id=tid)
-            for tid in range(num_trajectories)
-        ]
-    return aggregate_records(records)
+            return list(pool.map(solve, range(num_trajectories)))
+    return [solve(k) for k in range(num_trajectories)]
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -446,16 +452,19 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     Forked workers would keep the parent's BLAS thread pool and, several
     at a time, oversubscribe the CPUs; spawned ones would each import
     numpy and scipy afresh. These fork from a server that started with one
-    BLAS thread and imported this module; the parent's environment is
-    restored once the server runs. The server lives as long as the
-    interpreter, so later pools reuse it.
+    BLAS thread and imported ``rotpack.baselines`` (and through it this
+    module), so QAOA and annealing workers alike start warm; the parent's
+    environment is restored once the server runs. The server lives as
+    long as the interpreter, so later pools reuse it.
 
     Each worker imports the parent's ``__main__`` module by path, as
-    spawned workers do, so a script that uses the pool must guard its
-    entry point with ``if __name__ == "__main__":``.
+    spawned workers do, so a script that runs a QAOA or annealing
+    ensemble with ``workers > 1`` must guard its entry point with
+    ``if __name__ == "__main__":``; an unguarded one dies with
+    ``BrokenProcessPool``.
     """
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([__name__])
+    context.set_forkserver_preload([f"{__package__}.baselines"])
     saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
     try:

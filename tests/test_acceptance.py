@@ -257,6 +257,7 @@ def test_cost_scaling_comparison():
             500,
             target_energy=target,
             method="discrete",
+            workers=4,
         )
         assert sa.mean_cost is not None, f"no SA successes at n={rotamers}"
         sa_points.append((problem.num_qubits, sa.mean_cost))

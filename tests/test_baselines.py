@@ -1,6 +1,7 @@
 """Exhaustive search, both annealers, and ensemble cost accounting."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -391,6 +392,25 @@ class TestSaEnsemble:
         assert ensemble.success_ratio == 0.0
         assert ensemble.mean_cost is None
         assert ensemble.std_cost is None
+
+    @pytest.mark.parametrize("method, budget", [("gsa", 30), ("discrete", 5)])
+    def test_sequential_matches_pool(self, method, budget):
+        # budgets with mixed outcomes, so the summaries count both kinds
+        problem = random_problem(3, 3, seed=7)
+        run = functools.partial(
+            sa_ensemble,
+            problem,
+            SaConfig(max_iterations=budget, local_search=False, seed=5),
+            6,
+            target_energy=brute_force(problem).ground_energy,
+            method=method,
+        )
+        seq, par = run(workers=1), run(workers=2)
+        assert [result_fields(r) for r in par.results] == [
+            result_fields(r) for r in seq.results
+        ]
+        assert par.summary_dict() == seq.summary_dict()
+        assert 0.0 < seq.success_ratio < 1.0
 
     def test_discrete_dispatch(self):
         ensemble = sa_ensemble(

@@ -1,5 +1,6 @@
 """Scaling fits, crossover estimates, plans, orchestration, and reports."""
 
+import contextlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +417,20 @@ class TestOrchestrate:
         for path, blob in snapshots.items():
             assert path.read_bytes() == blob
 
+    def test_workers_reach_every_cell(self, tmp_path, monkeypatch):
+        # annealing and QAOA cells alike hand their trajectories to the pool
+        pools = []
+
+        def serial_pool(workers):
+            pools.append(workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+        monkeypatch.setattr("rotpack.driver._worker_pool", serial_pool)
+        plan = load_plan(ROOT / "data" / "sample_plan.json")
+        run_experiment(plan, tmp_path / "run", workers=3)
+        assert [c.solver for c in plan.cells] == ["sa-discrete"] * 2 + ["qaoa"] * 2
+        assert pools == [3] * 4
+
     def test_interrupted_summary_write_is_rerun(self, tmp_path, monkeypatch):
         plan = BenchPlan(name="one", cells=tiny_plan().cells[:1])
 
@@ -625,6 +641,19 @@ def smoke_tree(tmp_path_factory) -> Path:
 
 # a plan cell whose solver settings are rejected before any cell runs
 BAD_REGIME_CELL = {"num_residues": 2, "rotamers": 2, "qaoa": {"regime": "adiabatic"}}
+# malformed plans, by file name
+PLANS = {
+    "bad-regime": {"name": "x", "cells": [BAD_REGIME_CELL]},
+    "no-cells": {"name": "x", "cells": []},
+    "number": 5,
+    "number-cell": {"name": "x", "cells": [1]},
+    "list-defaults": {
+        "name": "x",
+        "defaults": [],
+        "cells": [{"num_residues": 2, "rotamers": 2}],
+    },
+    "string-residues": {"name": "x", "cells": [{"num_residues": "2", "rotamers": 2}]},
+}
 
 
 class TestCli:
@@ -639,6 +668,22 @@ class TestCli:
             (
                 ["run", "--plan", "EMPTY/no-cells.json", "--out", "EMPTY/out"],
                 "plan has no cells\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/number.json", "--out", "EMPTY/out"],
+                "plan must be a JSON object\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/number-cell.json", "--out", "EMPTY/out"],
+                "cells[0] must be a JSON object\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/list-defaults.json", "--out", "EMPTY/out"],
+                "plan defaults must be a JSON object\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/string-residues.json", "--out", "EMPTY/out"],
+                "cells[0]: '<' not supported between instances of 'str' and 'int'\n",
             ),
             (
                 ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
@@ -659,6 +704,10 @@ class TestCli:
         ids=[
             "run-bad-regime",
             "run-no-cells",
+            "run-number",
+            "run-number-cell",
+            "run-list-defaults",
+            "run-string-residues",
             "run-missing-plan",
             "fit-empty",
             "crossover-empty",
@@ -670,8 +719,7 @@ class TestCli:
     def test_failing_command_prints_one_error_line(
         self, argv, err, tmp_path, smoke_tree, capsys
     ):
-        for name, cells in (("bad-regime", [BAD_REGIME_CELL]), ("no-cells", [])):
-            plan = {"name": name, "cells": cells}
+        for name, plan in PLANS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(plan))
 
         def place(text: str) -> str:

@@ -7,7 +7,8 @@ and are compared field by field, exactly, with only ``wall_time`` masked:
   3x2 instance at p=2, plus fixed-budget runs chasing an unreachable target,
   which end in optimizer restarts (some with a budget below COBYLA's 2n+2);
 - annealing ensembles of both methods with full, partial and no success;
-- the text of every file ``run_experiment`` writes for the smoke plan.
+- the text of every file ``run_experiment`` writes for the smoke plan, with
+  trajectories run serially and, in a second test, in a process pool.
 
 Regenerate (only when a change is meant to alter results) with
 
@@ -128,17 +129,21 @@ def collect(tree: Path) -> dict:
                 }
             )
 
-    run_experiment(load_plan(PLAN), tree, workers=1)
-    files = {
-        path.relative_to(tree).as_posix(): _masked(path.read_text())
-        for path in sorted(tree.rglob("*"))
-        if path.is_file()
-    }
     return {
         "trajectories": trajectories,
         "aggregates": aggregates,
         "anneal": anneal,
-        "experiment": files,
+        "experiment": experiment_files(tree, workers=1),
+    }
+
+
+def experiment_files(tree: Path, *, workers: int) -> dict[str, str]:
+    """The masked text of every file ``run_experiment`` writes for the plan."""
+    run_experiment(load_plan(PLAN), tree, workers=workers)
+    return {
+        path.relative_to(tree).as_posix(): _masked(path.read_text())
+        for path in sorted(tree.rglob("*"))
+        if path.is_file()
     }
 
 
@@ -156,6 +161,12 @@ def test_outputs_match_golden_records(tmp_path):
     assert sorted(got["experiment"]) == sorted(want["experiment"])
     for name, text in want["experiment"].items():
         assert got["experiment"][name] == text, name
+
+
+def test_pooled_experiment_matches_golden_records(tmp_path):
+    # every cell, annealing and QAOA alike, runs its trajectories in a pool
+    want = json.loads(GOLDEN.read_text())["experiment"]
+    assert experiment_files(tmp_path / "tree", workers=2) == want
 
 
 def test_golden_grid_covers_restarts_and_outcomes():

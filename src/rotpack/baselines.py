@@ -2,19 +2,19 @@
 
 ``brute_force`` enumerates every rotamer assignment and is the ground-truth
 oracle for everything else. ``dual_anneal`` is a self-contained generalized
-simulated annealing over the penalized QUBO relaxed to the unit hypercube
-(rounding to bits at evaluation time), instrumented the way the benchmarks
-need: it counts objective evaluations exactly, can stop mid-chain the moment
-the target energy is sampled, and restarts with a refinement pass when the
-temperature floor is reached. ``discrete_anneal`` is a plain Metropolis
-sampler over valid assignments, kept as a sanity baseline behind the same
-interface.
+simulated annealing (Tsallis and Stariolo, Physica A 233, 1996) over the
+penalized QUBO relaxed to the unit hypercube (rounding to bits at evaluation
+time), instrumented the way the benchmarks need: it counts objective
+evaluations exactly, can stop mid-chain the moment the target energy is
+sampled, and ends with a bit-flip refinement pass. It runs one shape,
+visiting parameter ``VISIT`` and acceptance parameter ``ACCEPT``.
+``discrete_anneal`` is a plain Metropolis sampler over valid assignments,
+kept as a sanity baseline behind the same interface.
 
 Evaluation accounting for ``dual_anneal`` is deliberately simple: one eval
 for the initial point, then exactly ``2 * num_qubits`` per completed chain
-iteration. Restarts and the bit-flip refinement add their own evals on top,
-so the clean identity only holds with ``local_search=False`` and no
-restarts.
+iteration. The bit-flip refinement adds its own evals on top, so the clean
+identity only holds with ``local_search=False``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._rng import generator, trajectory_seed
-from .driver import EnsembleResult, _run_trajectories, ensemble_cost, stop_threshold
+from .driver import (
+    EnsembleResult,
+    _require_integers,
+    _run_trajectories,
+    ensemble_cost,
+    stop_threshold,
+)
 from .problem import RotamerProblem, bits_to_string, encode, valid_mask
 from .qubo import QuboMatrix, build_qubo, default_penalty
 
@@ -45,7 +51,25 @@ __all__ = [
 
 TAIL_LIMIT = 1e8
 MIN_VISIT_BOUND = 1e-10
-RESTART_FRACTION = 2e-5
+
+# The generalized annealer's shape: the Tsallis visiting parameter (heavier
+# jump tails as it grows) and the acceptance parameter.
+VISIT = 1.01
+ACCEPT = 0.9
+
+# The visiting distribution's two log factors at VISIT.
+_FACTOR2 = math.exp((4.0 - VISIT) * math.log(VISIT - 1.0))
+_FACTOR3 = math.exp((2.0 - VISIT) * math.log(2.0) / (VISIT - 1.0))
+_LOG_FACTOR4_P = math.log(
+    math.sqrt(math.pi) * _FACTOR2 / (_FACTOR3 * (3.0 - VISIT))
+)
+_FACTOR5 = 1.0 / (VISIT - 1.0) - 0.5
+_LOG_FACTOR6 = math.log(
+    math.pi
+    * (1.0 - _FACTOR5)
+    / math.sin(math.pi * (1.0 - _FACTOR5))
+    / math.exp(gammaln(2.0 - _FACTOR5))
+)
 
 
 @dataclass(frozen=True)
@@ -99,23 +123,18 @@ def brute_force(problem: RotamerProblem, cap: int = 10**8) -> BruteForceResult:
 class SaConfig:
     """Annealer knobs.
 
-    ``visit`` is the Tsallis visiting-distribution shape (heavier tails as
-    it grows; must be in (1, 3]), ``accept`` the generalized acceptance
-    shape (must be below 1).
+    Both annealers read the budget, the starting temperature and the seed;
+    ``local_search`` applies to ``dual_anneal`` only, whose shape is fixed
+    (``VISIT``, ``ACCEPT``).
     """
 
-    visit: float = 1.01
-    accept: float = 0.9
     max_iterations: int = 1000
     initial_temperature: float = 5230.0
     local_search: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.visit <= 3.0:
-            raise ValueError("visit must be in (1, 3]")
-        if self.accept >= 1.0:
-            raise ValueError("accept must be below 1")
+        _require_integers(self, "max_iterations", "seed")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.initial_temperature <= 0.0:
@@ -168,55 +187,19 @@ class _CountingObjective:
         return e
 
 
-class _VisitFactors:
-    """Constants of the Tsallis visiting distribution for a fixed shape."""
-
-    def __init__(self, visit: float) -> None:
-        self.visit = visit
-        self.factor2 = math.exp((4.0 - visit) * math.log(visit - 1.0))
-        self.factor3 = math.exp((2.0 - visit) * math.log(2.0) / (visit - 1.0))
-        with np.errstate(divide="ignore"):
-            # the prefactor diverges at visit = 3 (the heaviest-tail
-            # boundary); the draw's tail clamp turns the infinite scale
-            # into uniform jumps instead of a crash
-            self.factor4_p = float(
-                np.float64(math.sqrt(math.pi) * self.factor2)
-                / (np.float64(self.factor3) * (3.0 - visit))
-            )
-            self.log_factor4_p = float(np.log(np.float64(self.factor4_p)))
-        factor5 = 1.0 / (visit - 1.0) - 0.5
-        d1 = 2.0 - factor5
-        self.factor6 = (
-            math.pi
-            * (1.0 - factor5)
-            / math.sin(math.pi * (1.0 - factor5))
-            / math.exp(gammaln(d1))
+def _visit_draw(temperature: float, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``dim`` jumps from the Tsallis visiting distribution at ``temperature``."""
+    x = rng.standard_normal(dim)
+    y = rng.standard_normal(dim)
+    # the temperature prefactor overflows a float near VISIT = 1, so the
+    # whole x scale is assembled in log space
+    log_factor4 = _LOG_FACTOR4_P + math.log(temperature) / (VISIT - 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = x * np.exp(
+            -(VISIT - 1.0) * (_LOG_FACTOR6 - log_factor4) / (3.0 - VISIT)
         )
-        self.log_factor6 = math.log(self.factor6)
-
-    def draw(
-        self, temperature: float, dim: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        qv = self.visit
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        # the temperature prefactor overflows a float near qv = 1, so the
-        # whole x scale is assembled in log space; near qv = 3 the scale
-        # itself diverges, which numpy turns into clampable infinities
-        if 3.0 - qv <= 1e-12:
-            # at the boundary every draw overflows the tail clamp, so the
-            # jumps degenerate to uniform wraps; inf/inf would poison the
-            # walker with NaNs here
-            return np.sign(x) * (2.0 * TAIL_LIMIT)
-        log_factor4 = self.log_factor4_p + math.log(temperature) / (qv - 1.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = x * np.exp(
-                np.float64(-(qv - 1.0))
-                * (self.log_factor6 - log_factor4)
-                / (3.0 - qv)
-            )
-            den = np.exp((qv - 1.0) * np.log(np.fabs(y)) / (3.0 - qv))
-            return x / den
+        den = np.exp((VISIT - 1.0) * np.log(np.fabs(y)) / (3.0 - VISIT))
+        return x / den
 
 
 def _visit_move(
@@ -224,13 +207,12 @@ def _visit_move(
     step: int,
     temperature: float,
     rng: np.random.Generator,
-    factors: _VisitFactors,
 ) -> np.ndarray:
     """One proposal on [0, 1]^M: full-vector for the first M steps of a
     chain, single-coordinate for the rest."""
     dim = x.size
     if step < dim:
-        visits = factors.draw(temperature, dim, rng)
+        visits = _visit_draw(temperature, dim, rng)
         upper, lower = rng.uniform(size=2)
         visits[visits > TAIL_LIMIT] = TAIL_LIMIT * upper
         visits[visits < -TAIL_LIMIT] = -TAIL_LIMIT * lower
@@ -239,7 +221,7 @@ def _visit_move(
         x_new[np.fabs(x_new) < MIN_VISIT_BOUND] += MIN_VISIT_BOUND
         return x_new
     x_new = x.copy()
-    visit = float(factors.draw(temperature, 1, rng)[0])
+    visit = float(_visit_draw(temperature, 1, rng)[0])
     if visit > TAIL_LIMIT:
         visit = TAIL_LIMIT * float(rng.uniform())
     elif visit < -TAIL_LIMIT:
@@ -279,52 +261,40 @@ def dual_anneal(
     """Generalized simulated annealing on the penalized QUBO.
 
     The temperature follows the generalized visiting schedule
-    T(i) = T0 * (2**(qv-1) - 1) / ((i+2)**(qv-1) - 1); each iteration runs a
-    chain of 2M proposals (M full-vector, then M single-coordinate) with the
-    generalized acceptance rule at the stepped temperature T(i)/(i+1). When
-    the temperature drops below ``RESTART_FRACTION`` of its start value the
-    walker re-seeds (after a refinement pass if ``local_search``), and a
-    final refinement runs at the end.
+    T(i) = T0 * (2**(qv-1) - 1) / ((i+2)**(qv-1) - 1) with qv = ``VISIT``;
+    each iteration runs a chain of 2M proposals (M full-vector, then M
+    single-coordinate) with the generalized acceptance rule (shape
+    ``ACCEPT``) at the stepped temperature T(i)/(i+1), and a refinement
+    pass runs at the end if ``local_search``. The walker never re-seeds, so
+    ``restarts`` is 0: at qv = 1.01, T(i) stays above 2e-5 * T0 until
+    i is about 10**254.
     """
     start = time.perf_counter()
     qubo = build_qubo(problem, penalty=default_penalty(problem))
     rng = generator(config.seed)
     objective = _CountingObjective(qubo, problem, target_energy)
     m = problem.num_qubits
-    qv, qa = config.visit, config.accept
-    factors = _VisitFactors(qv)
-    t1 = math.exp((qv - 1.0) * math.log(2.0)) - 1.0
-    restart_temp = RESTART_FRACTION * config.initial_temperature
+    t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
 
     converged = False
-    restarts = 0
     iterations = 0
     try:
         x = rng.uniform(size=m)
         e_cur = objective(x)
         for i in range(config.max_iterations):
             iterations = i + 1
-            t2 = math.exp((qv - 1.0) * math.log(float(i) + 2.0)) - 1.0
+            t2 = math.exp((VISIT - 1.0) * math.log(float(i) + 2.0)) - 1.0
             temperature = config.initial_temperature * t1 / t2
-            if temperature < restart_temp:
-                restarts += 1
-                if config.local_search and objective.best_bits is not None:
-                    _flip_descent(
-                        objective, objective.best_bits, objective.best_energy
-                    )
-                x = rng.uniform(size=m)
-                e_cur = objective(x)
-                continue
             t_step = temperature / (float(i) + 1.0)
             for j in range(2 * m):
-                x_new = _visit_move(x, j, temperature, rng, factors)
+                x_new = _visit_move(x, j, temperature, rng)
                 e_new = objective(x_new)
                 if e_new < e_cur:
                     x, e_cur = x_new, e_new
                 else:
-                    pqv_temp = 1.0 - (1.0 - qa) * (e_new - e_cur) / t_step
+                    pqv_temp = 1.0 - (1.0 - ACCEPT) * (e_new - e_cur) / t_step
                     if pqv_temp > 0.0:
-                        pqv = math.exp(math.log(pqv_temp) / (1.0 - qa))
+                        pqv = math.exp(math.log(pqv_temp) / (1.0 - ACCEPT))
                         if rng.uniform() <= pqv:
                             x, e_cur = x_new, e_new
         if config.local_search and objective.best_bits is not None:
@@ -341,7 +311,7 @@ def dual_anneal(
         valid=bool(valid_mask(bits, problem)[0]),
         evaluations=objective.evaluations,
         iterations_used=iterations,
-        restarts=restarts,
+        restarts=0,
         wall_time=time.perf_counter() - start,
         seed=config.seed,
     )

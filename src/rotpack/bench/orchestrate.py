@@ -22,7 +22,6 @@ from pathlib import Path
 from ..baselines import SaConfig, brute_force, sa_ensemble
 from ..driver import (
     FirstGroundState,
-    ParameterConvergence,
     QaoaConfig,
     run_ensemble,
     write_records_jsonl,
@@ -60,12 +59,12 @@ def cell_target_energy(cell: CellSpec, problem: RotamerProblem) -> float:
 def _solver_config(cell: CellSpec) -> QaoaConfig | SaConfig:
     """The cell's solver config; raises ValueError naming the cell if it is malformed.
 
-    A QAOA config comes back with a placeholder stop mode; ``run_cell`` sets
-    the target once it is known.
+    A QAOA config comes back with no stop mode; ``run_cell`` sets the
+    target once it is known.
     """
     try:
         if cell.solver == "qaoa":
-            return QaoaConfig(**cell.qaoa, stop_mode=ParameterConvergence())
+            return QaoaConfig(**cell.qaoa, stop_mode=None)
         return SaConfig(**cell.sa)
     except (TypeError, ValueError) as exc:
         raise ValueError(

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from ..driver import _require_integers
+
 SOLVERS = ("qaoa", "sa", "sa-discrete")
 
 
@@ -40,6 +42,9 @@ class CellSpec:
     sa: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require_integers(
+            self, "num_residues", "rotamers", "trajectories", "problem_seed"
+        )
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.num_residues < 1 or self.rotamers < 1:
@@ -111,7 +116,7 @@ def load_plan(path: str | Path) -> BenchPlan:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
         try:
             cells.append(CellSpec(**merged))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"cells[{position}]: {exc}") from exc
     return BenchPlan(name=raw["name"], cells=tuple(cells))
 

@@ -25,6 +25,7 @@ import json
 import math
 import multiprocessing
 import multiprocessing.forkserver
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +51,6 @@ from . import statevector as sv
 
 __all__ = [
     "FirstGroundState",
-    "ParameterConvergence",
     "QaoaConfig",
     "RunRecord",
     "EnsembleResult",
@@ -82,6 +82,17 @@ def stop_threshold(target_energy: float | None) -> float:
     return -math.inf if target_energy is None else target_energy + STOP_TOL
 
 
+def _require_integers(config: object, *names: str) -> None:
+    """Raise ValueError naming the first of ``names`` whose value on
+    ``config`` is set but not an integer (a bool is not one)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FirstGroundState:
     """Stop a trajectory the moment a sampled valid bitstring reaches the
@@ -91,17 +102,14 @@ class FirstGroundState:
 
 
 @dataclass(frozen=True)
-class ParameterConvergence:
-    """Run until the optimizer itself terminates (or the budget runs out)."""
-
-
-@dataclass(frozen=True)
 class QaoaConfig:
     """Everything a trajectory needs besides the problem itself.
 
     ``shots_per_iteration`` and ``max_iterations`` default per backend:
     statevector runs use 10 shots per qubit clamped to [10, 100] and a
     500-iteration budget; MPS runs use 1000 shots and 2000 iterations.
+    With ``stop_mode=None`` a trajectory runs until the optimizer itself
+    terminates or the budget runs out.
     """
 
     regime: str
@@ -116,9 +124,12 @@ class QaoaConfig:
     max_bond: int = MAX_BOND
     penalty: float | None = None
     optimizer: str = "cobyla"
-    stop_mode: FirstGroundState | ParameterConvergence = ParameterConvergence()
+    stop_mode: FirstGroundState | None = None
 
     def __post_init__(self) -> None:
+        _require_integers(
+            self, "p", "shots_per_iteration", "max_iterations", "max_bond", "seed"
+        )
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.backend not in BACKENDS:
@@ -137,6 +148,10 @@ class QaoaConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.max_bond is not None and self.max_bond < 1:
             raise ValueError("max_bond must be positive")
+        if self.stop_mode is not None and not isinstance(
+            self.stop_mode, FirstGroundState
+        ):
+            raise ValueError("stop_mode must be a FirstGroundState or None")
 
     def resolved_shots(self, num_qubits: int) -> int:
         if self.shots_per_iteration is not None:
@@ -266,9 +281,7 @@ def optimize(
             return mstate.sample(shots, rng), meta
 
     threshold = stop_threshold(
-        config.stop_mode.target_energy
-        if isinstance(config.stop_mode, FirstGroundState)
-        else None
+        None if config.stop_mode is None else config.stop_mode.target_energy
     )
 
     x0 = init_params(config.p, rng, config.gamma_range, config.beta_range)
@@ -291,7 +304,7 @@ def optimize(
         while iterations < budget:
             params = optimizer.ask()
             if params is None:
-                if isinstance(config.stop_mode, ParameterConvergence):
+                if config.stop_mode is None:
                     converged = True
                     break
                 if asks_this_round == 0:

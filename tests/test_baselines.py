@@ -173,29 +173,23 @@ class TestBruteForce:
 
 
 class TestSaConfig:
-    @pytest.mark.parametrize("visit", [1.0, 0.5, 3.5])
-    def test_visit_range(self, visit):
-        with pytest.raises(ValueError, match="visit"):
-            SaConfig(visit=visit)
-
-    def test_visit_boundary_allowed(self):
-        assert SaConfig(visit=3.0).visit == 3.0
-
-    def test_accept_below_one(self):
-        with pytest.raises(ValueError, match="accept"):
-            SaConfig(accept=1.0)
-
     def test_positive_budget_and_temperature(self):
         with pytest.raises(ValueError, match="max_iterations"):
             SaConfig(max_iterations=0)
         with pytest.raises(ValueError, match="initial_temperature"):
             SaConfig(initial_temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SaConfig(**{field: value})
+
 
 class TestDualAnneal:
     def test_evaluation_count_identity(self):
         # one seed evaluation plus a 2M-proposal chain per iteration; holds
-        # only without local search, restarts, or early stopping
+        # only without local search or early stopping
         problem = random_problem(3, 3, seed=7)
         for iters in (1, 7, 20):
             result = dual_anneal(
@@ -205,17 +199,6 @@ class TestDualAnneal:
             assert result.evaluations == 1 + 2 * 9 * iters
             assert result.iterations_used == iters
             assert result.restarts == 0
-
-    def test_heaviest_tail_boundary_runs(self):
-        # visit = 3 makes the jump scale diverge; the draw clamps it, the
-        # temperature floor trips constantly, and the walker must survive
-        result = dual_anneal(
-            random_problem(2, 2, seed=1),
-            SaConfig(visit=3.0, max_iterations=500, local_search=False, seed=0),
-        )
-        assert np.isfinite(result.best_energy)
-        assert result.restarts > 0
-        assert result.valid
 
     def test_deterministic_given_seed(self):
         problem = random_problem(2, 3, seed=4)
@@ -268,16 +251,6 @@ class TestDualAnneal:
             assert problem.energy(config) == pytest.approx(
                 result.best_energy, abs=1e-9
             )
-
-    def test_scipy_default_shape_converges_on_small_instance(self):
-        problem = random_problem(2, 2, seed=1)
-        ground = brute_force(problem).ground_energy
-        result = dual_anneal(
-            problem,
-            SaConfig(visit=2.62, max_iterations=200, seed=2),
-            target_energy=ground,
-        )
-        assert result.converged
 
 
 class TestDiscreteAnneal:

@@ -239,6 +239,10 @@ class TestPlans:
             CellSpec(num_residues=2, rotamers=2, trajectories=0)
         with pytest.raises(ValueError, match="decay must be 0"):
             CellSpec(num_residues=2, rotamers=2, decay=0.5)
+        for field in ("num_residues", "rotamers", "trajectories", "problem_seed"):
+            for value in (2.5, "3", True):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    CellSpec(**{"num_residues": 2, "rotamers": 2, field: value})
         with pytest.raises(ValueError, match="at least one cell"):
             BenchPlan(name="empty", cells=())
 
@@ -639,21 +643,40 @@ def smoke_tree(tmp_path_factory) -> Path:
     return out
 
 
-# a plan cell whose solver settings are rejected before any cell runs
-BAD_REGIME_CELL = {"num_residues": 2, "rotamers": 2, "qaoa": {"regime": "adiabatic"}}
+def _cell(**fields) -> dict:
+    """A plan cell of two residues with two rotamers each, plus ``fields``."""
+    return {"num_residues": 2, "rotamers": 2, **fields}
+
+
+# plan cells whose solver settings are rejected before any cell runs
+BAD_SOLVER_CELLS = {
+    "bad-regime": _cell(qaoa={"regime": "adiabatic"}),
+    "sa-visit": _cell(solver="sa-discrete", sa={"visit": 2.0, "max_iterations": 5}),
+    "float-p": _cell(qaoa={"regime": "xy", "p": 1.5}),
+    "float-shots": _cell(qaoa={"regime": "xy", "shots_per_iteration": 2.5}),
+    "float-qaoa-budget": _cell(qaoa={"regime": "xy", "max_iterations": 2.5}),
+    "float-sa-budget": _cell(solver="sa-discrete", sa={"max_iterations": 2.5}),
+}
+# a short sa-discrete cell, for plans whose cell fields are malformed
+DISCRETE = {"solver": "sa-discrete", "sa": {"max_iterations": 5}}
 # malformed plans, by file name
 PLANS = {
-    "bad-regime": {"name": "x", "cells": [BAD_REGIME_CELL]},
+    **{name: {"name": "x", "cells": [cell]} for name, cell in BAD_SOLVER_CELLS.items()},
     "no-cells": {"name": "x", "cells": []},
     "number": 5,
     "number-cell": {"name": "x", "cells": [1]},
-    "list-defaults": {
-        "name": "x",
-        "defaults": [],
-        "cells": [{"num_residues": 2, "rotamers": 2}],
-    },
-    "string-residues": {"name": "x", "cells": [{"num_residues": "2", "rotamers": 2}]},
+    "list-defaults": {"name": "x", "defaults": [], "cells": [_cell()]},
+    "string-residues": {"name": "x", "cells": [_cell(num_residues="2")]},
+    "float-residues": {"name": "x", "cells": [_cell(**DISCRETE, num_residues=2.5)]},
+    "string-seed": {"name": "x", "cells": [_cell(**DISCRETE, problem_seed="7")]},
+    "float-trajectories": {"name": "x", "cells": [_cell(**DISCRETE, trajectories=2.5)]},
 }
+
+
+def bad_cell_error(name: str, message: str) -> str:
+    """The error line for plan ``name``'s one cell in BAD_SOLVER_CELLS."""
+    cell = CellSpec(**BAD_SOLVER_CELLS[name])
+    return f"cell {cell_key(cell)} ({cell.solver}, 2x2): {message}\n"
 
 
 class TestCli:
@@ -662,8 +685,7 @@ class TestCli:
         [
             (
                 ["run", "--plan", "EMPTY/bad-regime.json", "--out", "EMPTY/out"],
-                f"cell {cell_key(CellSpec(**BAD_REGIME_CELL))} (qaoa, 2x2):"
-                " unknown regime 'adiabatic'\n",
+                bad_cell_error("bad-regime", "unknown regime 'adiabatic'"),
             ),
             (
                 ["run", "--plan", "EMPTY/no-cells.json", "--out", "EMPTY/out"],
@@ -683,7 +705,48 @@ class TestCli:
             ),
             (
                 ["run", "--plan", "EMPTY/string-residues.json", "--out", "EMPTY/out"],
-                "cells[0]: '<' not supported between instances of 'str' and 'int'\n",
+                "cells[0]: num_residues must be an integer, not '2'\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-residues.json", "--out", "EMPTY/out"],
+                "cells[0]: num_residues must be an integer, not 2.5\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/string-seed.json", "--out", "EMPTY/out"],
+                "cells[0]: problem_seed must be an integer, not '7'\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-trajectories.json", "--out", "EMPTY/out"],
+                "cells[0]: trajectories must be an integer, not 2.5\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/sa-visit.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "sa-visit",
+                    "SaConfig.__init__() got an unexpected keyword argument 'visit'",
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-p.json", "--out", "EMPTY/out"],
+                bad_cell_error("float-p", "p must be an integer, not 1.5"),
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-shots.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "float-shots", "shots_per_iteration must be an integer, not 2.5"
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-qaoa-budget.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "float-qaoa-budget", "max_iterations must be an integer, not 2.5"
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/float-sa-budget.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "float-sa-budget", "max_iterations must be an integer, not 2.5"
+                ),
             ),
             (
                 ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
@@ -708,6 +771,14 @@ class TestCli:
             "run-number-cell",
             "run-list-defaults",
             "run-string-residues",
+            "run-float-residues",
+            "run-string-seed",
+            "run-float-trajectories",
+            "run-sa-visit",
+            "run-float-p",
+            "run-float-shots",
+            "run-float-qaoa-budget",
+            "run-float-sa-budget",
             "run-missing-plan",
             "fit-empty",
             "crossover-empty",

@@ -18,7 +18,6 @@ from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import SaConfig, brute_force, discrete_anneal, dual_anneal
 from rotpack.driver import (
     FirstGroundState,
-    ParameterConvergence,
     QaoaConfig,
     RunRecord,
     aggregate_records,
@@ -154,8 +153,18 @@ class TestConfig:
             QaoaConfig(regime="xy", max_iterations=-1)
         with pytest.raises(ValueError, match="max_bond"):
             QaoaConfig(regime="xy", backend="mps", max_bond=0)
+        with pytest.raises(ValueError, match="stop_mode"):
+            QaoaConfig(regime="xy", stop_mode=-1.0)
         # the optimizer name is matched the way ScipyAskTell matches it
         assert QaoaConfig(regime="xy", optimizer="Nelder-Mead").optimizer == "Nelder-Mead"
+
+    @pytest.mark.parametrize(
+        "field", ["p", "shots_per_iteration", "max_iterations", "max_bond", "seed"]
+    )
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QaoaConfig(regime="xy", **{field: value})
 
     def test_default_shot_schedule(self):
         cfg = QaoaConfig(regime="xy")

@@ -28,7 +28,6 @@ from rotpack.bench import run_experiment
 from rotpack.bench.plans import load_plan
 from rotpack.driver import (
     FirstGroundState,
-    ParameterConvergence,
     QaoaConfig,
     aggregate_records,
     optimize,
@@ -75,7 +74,7 @@ def _trajectory_cases():
 
 def _stop_mode(stop: str, ground: float):
     if stop == "convergence":
-        return ParameterConvergence()
+        return None
     if stop == "first-hit":
         return FirstGroundState(ground)
     return FirstGroundState(ground - UNREACHABLE)

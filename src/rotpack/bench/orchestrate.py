@@ -64,7 +64,10 @@ def _solver_config(cell: CellSpec) -> QaoaConfig | SaConfig:
     """
     try:
         if cell.solver == "qaoa":
-            return QaoaConfig(**cell.qaoa, stop_mode=None)
+            config = QaoaConfig(**cell.qaoa, stop_mode=None)
+            if config.regime == "xy" and cell.rotamers < 2:
+                raise ValueError("xy regime needs at least 2 rotamers per residue")
+            return config
         return SaConfig(**cell.sa)
     except (TypeError, ValueError) as exc:
         raise ValueError(

@@ -253,20 +253,22 @@ def optimize(
             state0 = sv.one_hot_state(init_circuit, blocks)
             basis = sv.one_hot_basis(blocks)
             phase_profile = all_bitstring_energies(h_opt, basis).reshape(state0.shape)
-            apply = functools.partial(sv.apply_one_hot_gate, blocks=blocks)
+            # the ring's gates and rows are fixed; only beta changes per layer
+            mix = sv.one_hot_mixer(blocks)
         else:
             state0 = sv.run_circuit(init_circuit)
             phase_profile = all_bitstring_energies(h_opt)
             basis = None
-            apply = sv.apply_gate
+
+            def mix(state: np.ndarray, beta: float) -> None:
+                for g in build_mixer(regime, blocks, beta).gates:
+                    sv.apply_gate(state, g)
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
             state = state0.copy()
             for k in range(config.p):
                 state *= np.exp(-1j * float(params[2 * k]) * phase_profile)
-                mixer = build_mixer(regime, blocks, float(params[2 * k + 1]))
-                for g in mixer.gates:
-                    apply(state, g)
+                mix(state, float(params[2 * k + 1]))
             return sv.sample_state(state, shots, rng, basis), {}
 
     else:

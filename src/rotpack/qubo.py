@@ -48,7 +48,7 @@ class QuboMatrix:
         q = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("QUBO matrix must be square")
-        if not np.allclose(q, q.T, rtol=0.0, atol=0.0):
+        if not np.array_equal(q, q.T):
             raise ValueError("QUBO matrix must be symmetric")
         q.setflags(write=False)
         object.__setattr__(self, "matrix", q)

@@ -14,6 +14,10 @@ flat order is the sorted order of the basis indices (``one_hot_basis``).
 An ``a`` or ``xy`` gate inside one block mixes two slices along that
 block's axis with the dense path's matrix entries and arithmetic, so the
 amplitudes equal the dense state's on the basis, bit for bit.
+The xy ring mixer is prepared once per trajectory (``one_hot_mixer``):
+its gate order and the rows each gate mixes are fixed, and only the
+matrix entries for beta are computed per layer, so the prepared mixer
+keeps the bit-for-bit match.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_matrix, pair_matrix
+from .circuits import Circuit, Gate, build_mixer, gate_matrix, pair_matrix
 from .problem import RotamerProblem
 from .qubo import MAX_TABLE_SIZE
 
@@ -36,6 +40,7 @@ __all__ = [
     "one_hot_basis",
     "one_hot_state",
     "apply_one_hot_gate",
+    "one_hot_mixer",
     "sample_state",
     "bits_from_indices",
     "invalid_mass",
@@ -128,30 +133,87 @@ def one_hot_basis(blocks: Sequence[tuple[int, int]]) -> np.ndarray:
     return functools.reduce(np.add.outer, bits).ravel()
 
 
+def _block_rows(
+    gate: Gate, blocks: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int, int], int, int]:
+    """Where a two-qubit gate acts on a one-hot state: the (before, block,
+    after) reshape that puts its block's axis in the middle, and the rows
+    of its lower and higher qubit on that axis."""
+    lo, hi = sorted(gate.qubits)
+    for i, (off, n) in enumerate(blocks):
+        if off <= lo and hi < off + n:
+            break
+    else:
+        raise ValueError(f"gate {gate} does not act inside one block")
+    # the tensor's axes run from the last block to the first
+    before = math.prod(c for _, c in blocks[i + 1 :])
+    after = math.prod(c for _, c in blocks[:i])
+    return (before, n, after), lo - off, hi - off
+
+
+def _weight_one_entries(matrix: np.ndarray) -> tuple[np.complex128, ...]:
+    """Entries (1, 1), (1, 2), (2, 1), (2, 2) of a 4x4 pair matrix: its
+    rows and columns for |01> and |10>, the states of weight one."""
+    return tuple(matrix[1:3, 1:3].ravel())
+
+
+def _mix_rows(
+    view: np.ndarray, lo: int, hi: int, entries: tuple[np.complex128, ...]
+) -> None:
+    """Mix rows ``lo`` and ``hi`` of a (before, block, after) view in place
+    by the weight-one entries of a pair matrix whose higher qubit is ``hi``.
+
+    The 0 * v0 term the dense path adds is an exact zero here: v0 is the
+    block's empty state.
+    """
+    m11, m12, m21, m22 = entries
+    v1 = view[:, lo, :].copy()
+    v2 = view[:, hi, :].copy()
+    view[:, lo, :] = m11 * v1 + m12 * v2
+    view[:, hi, :] = m21 * v1 + m22 * v2
+
+
+def _check_one_hot_shape(state: np.ndarray, blocks: Sequence[tuple[int, int]]) -> None:
+    if state.shape != tuple(n for _, n in reversed(blocks)):
+        raise ValueError("state shape does not match the blocks")
+
+
 def apply_one_hot_gate(
     state: np.ndarray, gate: Gate, blocks: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Apply an ``a`` or ``xy`` gate inside one block in place; return the state."""
     if gate.kind not in ("a", "xy"):
         raise ValueError(f"a one-hot state takes a and xy gates, not {gate.kind}")
-    if state.shape != tuple(n for _, n in reversed(blocks)):
-        raise ValueError("state shape does not match the blocks")
-    lo, hi = sorted(gate.qubits)
-    matrix = pair_matrix(gate, hi)
-    for i, (off, n) in enumerate(blocks):
-        if off <= lo and hi < off + n:
-            break
-    else:
-        raise ValueError(f"gate {gate} does not act inside one block")
-    axis = len(blocks) - 1 - i
-    view = state.reshape(math.prod(state.shape[:axis]), n, -1)
-    v1 = view[:, lo - off, :].copy()
-    v2 = view[:, hi - off, :].copy()
-    # rows (0, 1) and (1, 0) of the pair matrix; the 0 * v0 term the dense
-    # path adds is an exact zero here: v0 is the block's empty state
-    view[:, lo - off, :] = matrix[1, 1] * v1 + matrix[1, 2] * v2
-    view[:, hi - off, :] = matrix[2, 1] * v1 + matrix[2, 2] * v2
+    _check_one_hot_shape(state, blocks)
+    dims, lo, hi = _block_rows(gate, blocks)
+    matrix = pair_matrix(gate, max(gate.qubits))
+    _mix_rows(state.reshape(dims), lo, hi, _weight_one_entries(matrix))
     return state
+
+
+def one_hot_mixer(
+    blocks: Sequence[tuple[int, int]],
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The xy ring mixer on a one-hot state, prepared once.
+
+    Returns ``apply(state, beta)``, which applies the gates of
+    ``build_mixer("xy", blocks, beta)`` in place, in their order and with
+    ``apply_one_hot_gate``'s arithmetic, and returns the state. The gate
+    order and each gate's rows are fixed here; per call, the four matrix
+    entries come from one ``gate_matrix``. An xy matrix is unchanged, bit
+    for bit, when its two qubits swap roles, so one matrix serves every
+    gate whichever qubit is listed first.
+    """
+    steps = [_block_rows(g, blocks) for g in build_mixer("xy", blocks, 0.0).gates]
+
+    def apply(state: np.ndarray, beta: float) -> np.ndarray:
+        _check_one_hot_shape(state, blocks)
+        entries = _weight_one_entries(gate_matrix(Gate("xy", (0, 1), (beta,))))
+        for dims, lo, hi in steps:
+            _mix_rows(state.reshape(dims), lo, hi, entries)
+        return state
+
+    return apply
 
 
 def one_hot_state(circuit: Circuit, blocks: Sequence[tuple[int, int]]) -> np.ndarray:

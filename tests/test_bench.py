@@ -656,6 +656,7 @@ BAD_SOLVER_CELLS = {
     "float-shots": _cell(qaoa={"regime": "xy", "shots_per_iteration": 2.5}),
     "float-qaoa-budget": _cell(qaoa={"regime": "xy", "max_iterations": 2.5}),
     "float-sa-budget": _cell(solver="sa-discrete", sa={"max_iterations": 2.5}),
+    "xy-one-rotamer": _cell(rotamers=1, qaoa={"regime": "xy"}),
 }
 # a short sa-discrete cell, for plans whose cell fields are malformed
 DISCRETE = {"solver": "sa-discrete", "sa": {"max_iterations": 5}}
@@ -676,7 +677,8 @@ PLANS = {
 def bad_cell_error(name: str, message: str) -> str:
     """The error line for plan ``name``'s one cell in BAD_SOLVER_CELLS."""
     cell = CellSpec(**BAD_SOLVER_CELLS[name])
-    return f"cell {cell_key(cell)} ({cell.solver}, 2x2): {message}\n"
+    shape = f"{cell.num_residues}x{cell.rotamers}"
+    return f"cell {cell_key(cell)} ({cell.solver}, {shape}): {message}\n"
 
 
 class TestCli:
@@ -749,6 +751,12 @@ class TestCli:
                 ),
             ),
             (
+                ["run", "--plan", "EMPTY/xy-one-rotamer.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "xy-one-rotamer", "xy regime needs at least 2 rotamers per residue"
+                ),
+            ),
+            (
                 ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
                 "[Errno 2] No such file or directory: 'EMPTY/missing.json'\n",
             ),
@@ -779,6 +787,7 @@ class TestCli:
             "run-float-shots",
             "run-float-qaoa-budget",
             "run-float-sa-budget",
+            "run-xy-one-rotamer",
             "run-missing-plan",
             "fit-empty",
             "crossover-empty",

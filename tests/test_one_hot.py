@@ -8,7 +8,9 @@ Pinned fixed-budget trajectories: every ``RunRecord`` field but
 The one-hot evolution is compared exactly (``np.array_equal``) with a
 dense reference: ``run_circuit`` of the state preparation, then per layer
 the full energy table's phase and the mixer gate by gate with
-``apply_gate``.
+``apply_gate``. The prepared mixer (``one_hot_mixer``) is compared exactly
+with ``build_mixer``'s gates applied one by one with
+``apply_one_hot_gate``, and a trajectory is checked to prepare it once.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from rotpack.circuits import (
     ansatz_hamiltonian,
     build_initial_state,
     build_mixer,
+    gate_matrix,
 )
 from rotpack.driver import FirstGroundState, QaoaConfig, init_params, optimize
 from rotpack.problem import decode, random_problem
@@ -169,6 +172,63 @@ def test_gates_phase_and_samples_match_dense(shape):
     got = sv.sample_state(state, 300, np.random.default_rng(8), basis)
     want = sv.sample_state(dense, 300, np.random.default_rng(8))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4, 4.0], ids=str)
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_prepared_mixer_matches_gate_by_gate(shape, beta):
+    blocks = random_problem(*shape, seed=5).blocks
+    dims = tuple(n for _, n in reversed(blocks))
+    rng = np.random.default_rng(23)
+    state = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    want = state.copy()
+    for g in build_mixer("xy", blocks, beta).gates:
+        sv.apply_one_hot_gate(want, g, blocks)
+    mix = sv.one_hot_mixer(blocks)
+    assert mix(state, beta) is state
+    assert np.array_equal(state, want)
+    # a second layer on the same preparation
+    for g in build_mixer("xy", blocks, -beta).gates:
+        sv.apply_one_hot_gate(want, g, blocks)
+    assert np.array_equal(mix(state, -beta), want)
+
+
+def test_prepared_mixer_refuses_what_the_gates_refuse():
+    blocks = [(0, 3), (3, 2)]
+    mix = sv.one_hot_mixer(blocks)
+    for shape in [(3, 2), (2, 3, 1), (6,)]:
+        with pytest.raises(ValueError, match="state shape does not match"):
+            mix(np.zeros(shape, dtype=complex), 0.3)
+    with pytest.raises(ValueError, match="at least 2 rotamers") as refused:
+        sv.one_hot_mixer([(0, 3), (3, 1)])
+    with pytest.raises(ValueError) as built:
+        build_mixer("xy", [(0, 3), (3, 1)], 0.3)
+    assert str(refused.value) == str(built.value)
+
+
+def test_trajectory_prepares_its_mixer_once(monkeypatch):
+    # 3 iterations at p=3: 9 mixer layers from one set of gates, and one
+    # xy matrix per layer rather than one per gate
+    builds, xy_matrices = [], []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_mixer(*args)
+
+    def counting_matrix(gate):
+        if gate.kind == "xy":
+            xy_matrices.append(gate)
+        return gate_matrix(gate)
+
+    for module in ("rotpack.driver", "rotpack.statevector"):
+        monkeypatch.setattr(f"{module}.build_mixer", counting_build)
+    for module in ("rotpack.circuits", "rotpack.statevector"):
+        monkeypatch.setattr(f"{module}.gate_matrix", counting_matrix)
+    config = QaoaConfig(regime="xy", p=3, seed=1, max_iterations=3)
+    rec = optimize(random_problem(3, 3, seed=4), config)
+    assert rec.iterations_used == 3
+    assert len(builds) == 1
+    assert len(xy_matrices) == 9
 
 
 @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (2, 5), (5, 2), (4, 3), (6, 8)])

@@ -63,6 +63,22 @@ class TestQuboAssembly:
         with pytest.raises(ValueError, match="symmetric"):
             QuboMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [(1.0, np.nextafter(1.0, 2.0)), (np.nan, np.nan)],
+        ids=["one-ulp", "nan"],
+    )
+    def test_symmetry_is_exact(self, upper, lower):
+        with pytest.raises(ValueError, match="symmetric"):
+            QuboMatrix(np.array([[0.0, upper], [lower, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "upper, lower", [(np.inf, np.inf), (-0.0, 0.0)], ids=["inf", "signed-zero"]
+    )
+    def test_mirrored_values_are_symmetric(self, upper, lower):
+        q = QuboMatrix(np.array([[0.0, upper], [lower, 0.0]]))
+        assert q.matrix[0, 1] == upper
+
     def test_energies_batch_matches_scalar(self):
         p = random_problem(3, 2, seed=9)
         q = build_qubo(p, penalty=2.0)

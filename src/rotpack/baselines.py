@@ -79,44 +79,14 @@ class BruteForceResult:
     evaluations: int
 
 
-def brute_force(problem: RotamerProblem, cap: int = 10**8) -> BruteForceResult:
-    """Exact minimum by exhaustive enumeration.
-
-    Enumerates assignments in lexicographic order (last residue fastest)
-    and returns every tied minimizer. Refuses instances with more than
-    ``cap`` assignments.
-    """
-    counts = np.asarray(problem.rotamer_counts, dtype=np.int64)
-    total = int(np.prod(counts, dtype=object))
-    if total > cap:
-        raise ValueError(
-            f"{total} assignments exceed the enumeration cap of {cap};"
-            " set target_energy explicitly"
-        )
-    n_res = problem.num_residues
-    offsets = np.asarray(problem.block_offsets, dtype=np.int64)
-    selves = problem.self_energies
-    chunk = 1 << 17
-
-    ground = math.inf
-    ties: list[tuple[int, ...]] = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cfg = np.empty((idx.size, n_res), dtype=np.int64)
-        rem = idx
-        for i in range(n_res - 1, -1, -1):
-            rem, cfg[:, i] = np.divmod(rem, counts[i])
-        energies = selves[offsets[None, :] + cfg].sum(axis=1)
-        for (i, j), block in problem.pair_blocks.items():
-            energies = energies + block[cfg[:, i], cfg[:, j]]
-        cmin = float(energies.min())
-        if cmin < ground:
-            ground = cmin
-            ties = []
-        if cmin == ground:
-            for row in np.flatnonzero(energies == ground):
-                ties.append(tuple(int(v) for v in cfg[row]))
-    return BruteForceResult(ground, tuple(ties), total)
+def brute_force(problem: RotamerProblem) -> BruteForceResult:
+    """Exact minimum of ``problem.energy_table()`` (so at most
+    ``MAX_TABLE_SIZE`` configurations) and every tied minimizer, in
+    lexicographic order (last residue fastest)."""
+    table = problem.energy_table()
+    ground = table.min()
+    ties = np.argwhere(table == ground).tolist()
+    return BruteForceResult(float(ground), tuple(map(tuple, ties)), table.size)
 
 
 @dataclass(frozen=True)
@@ -137,8 +107,8 @@ class SaConfig:
         _require_integers(self, "max_iterations", "seed")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.initial_temperature <= 0.0:
-            raise ValueError("initial_temperature must be positive")
+        if not 0.0 < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must be positive and finite")
 
 
 @dataclass(frozen=True)

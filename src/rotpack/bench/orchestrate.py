@@ -8,8 +8,8 @@ Layout under the output directory:
 
 A cell whose summary already exists is skipped, so interrupting and
 re-running a plan resumes where it left off. The target energy for the
-stop criterion comes from brute force unless the cell pins one; cells too
-large to enumerate must pin it.
+stop criterion comes from brute force unless the cell pins one; cells past
+``MAX_TABLE_SIZE`` configurations must pin it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "load_summaries",
 ]
 
-BRUTE_FORCE_CAP = 10**7
-
 
 def cell_problem(cell: CellSpec) -> RotamerProblem:
     return random_problem(
@@ -51,9 +49,13 @@ def cell_problem(cell: CellSpec) -> RotamerProblem:
 
 
 def cell_target_energy(cell: CellSpec, problem: RotamerProblem) -> float:
+    """The cell's pinned target, or else the brute-force ground energy."""
     if cell.target_energy is not None:
         return cell.target_energy
-    return brute_force(problem, cap=BRUTE_FORCE_CAP).ground_energy
+    try:
+        return brute_force(problem).ground_energy
+    except ValueError as exc:
+        raise ValueError(f"{exc}; set target_energy explicitly") from exc
 
 
 def _solver_config(cell: CellSpec) -> QaoaConfig | SaConfig:

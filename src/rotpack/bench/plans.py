@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,7 +56,10 @@ class CellSpec:
         for name in ("decay", "self_scale", "pair_scale", "target_energy"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, float(value))
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, not {value}")
+                object.__setattr__(self, name, value)
         if self.decay != 0.0:
             raise ValueError("decay must be 0: cell instances are nearest-neighbour only")
         if self.qaoa and self.solver != "qaoa":

@@ -188,9 +188,7 @@ def build_cost_unitary(h: IsingHamiltonian, gamma: float) -> Circuit:
         if h.fields[i] != 0.0:
             gates.append(Gate("rz", (i,), (-2.0 * gamma * h.fields[i],)))
     rows, cols = np.nonzero(h.couplings)
-    order = np.lexsort((cols, rows))
-    for r in order:
-        i, j = int(rows[r]), int(cols[r])
+    for i, j in zip(rows.tolist(), cols.tolist()):
         gates.append(Gate("rzz", (i, j), (2.0 * gamma * h.couplings[i, j],)))
     return Circuit(
         num_qubits=h.num_spins,

@@ -93,6 +93,15 @@ def _require_integers(config: object, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _finite_pair(value: object) -> bool:
+    """Whether ``value`` unpacks into two finite numbers."""
+    try:
+        low, high = value
+        return math.isfinite(low) and math.isfinite(high)
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class FirstGroundState:
     """Stop a trajectory the moment a sampled valid bitstring reaches the
@@ -140,6 +149,15 @@ class QaoaConfig:
             raise ValueError("p must be at least 1")
         if self.penalty is not None and self.regime != "penalty":
             raise ValueError("penalty weight only applies to the penalty regime")
+        if self.penalty is not None and not 0.0 < self.penalty < math.inf:
+            raise ValueError(
+                f"penalty must be positive and finite, not {self.penalty!r}"
+            )
+        for name in ("gamma_range", "beta_range"):
+            if not _finite_pair(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be two finite numbers, not {getattr(self, name)!r}"
+                )
         if self.optimizer.lower() not in OPTIMIZER_METHODS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.shots_per_iteration is not None and self.shots_per_iteration < 1:

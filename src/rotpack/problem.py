@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,6 +43,10 @@ __all__ = [
 Config = tuple[int, ...]
 
 PAIR_SYMMETRY_TOL = 1e-9
+
+# Largest exhaustive table the package builds: energies over configurations
+# or bitstrings, and the one-hot statevector basis.
+MAX_TABLE_SIZE = 1 << 26
 
 
 class ProblemFormatError(ValueError):
@@ -152,6 +157,27 @@ class RotamerProblem:
         for (i, j), table in self.pair_blocks.items():
             total += table[config[i], config[j]]
         return float(total)
+
+    def energy_table(self) -> np.ndarray:
+        """``energy(c)`` of every configuration ``c``, in an array of shape
+        ``rotamer_counts``; the terms are added in ``energy``'s order, so the
+        two agree bit for bit. Refuses more than ``MAX_TABLE_SIZE`` entries.
+        """
+        counts = self.rotamer_counts
+        size = math.prod(counts)
+        if size > MAX_TABLE_SIZE:
+            raise ValueError(
+                f"{size} configurations exceed the table limit of {MAX_TABLE_SIZE}"
+            )
+        table = np.zeros(counts)
+        axes = range(len(counts))
+        for i, (off, n) in enumerate(self.blocks):
+            others = tuple(k for k in axes if k != i)
+            table += np.expand_dims(self.self_energies[off : off + n], others)
+        for (i, j), block in self.pair_blocks.items():
+            others = tuple(k for k in axes if k not in (i, j))
+            table += np.expand_dims(block, others)
+        return table
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import RotamerProblem
+from .problem import MAX_TABLE_SIZE, RotamerProblem
 
 __all__ = [
     "QuboMatrix",
@@ -159,10 +159,6 @@ def qubo_to_ising(q: QuboMatrix) -> IsingHamiltonian:
         + q.offset
     )
     return IsingHamiltonian(couplings=couplings, fields=fields, constant=constant)
-
-
-# Largest energy table (and one-hot statevector basis) the package builds.
-MAX_TABLE_SIZE = 1 << 26
 
 
 def all_bitstring_energies(

@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import Circuit, Gate, build_mixer, gate_matrix, pair_matrix
-from .problem import RotamerProblem
-from .qubo import MAX_TABLE_SIZE
+from .problem import MAX_TABLE_SIZE, RotamerProblem
 
 __all__ = [
     "zero_state",

@@ -99,8 +99,15 @@ class TestBruteForce:
         assert result.ground_configs == ((0, 0, 0, 0),)
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError, match="exceed the enumeration cap"):
-            brute_force(random_problem(3, 3, seed=0), cap=10)
+        with pytest.raises(ValueError, match="exceed the table limit"):
+            brute_force(random_problem(27, 2, seed=0))
+
+    def test_ground_energy_is_the_energy_of_the_ground_config(self):
+        # eight residues: a pairwise sum of the self energies would reorder
+        # them and miss energy() in the last bit
+        problem = random_problem(8, 3, seed=1)
+        result = brute_force(problem)
+        assert result.ground_energy == problem.energy(result.ground_configs[0])
 
     @given(problems(max_residues=3, max_rotamers=3))
     def test_matches_direct_enumeration(self, problem):
@@ -112,7 +119,7 @@ class TestBruteForce:
             )
         }
         ground = min(table.values())
-        assert result.ground_energy == pytest.approx(ground, abs=1e-12)
+        assert result.ground_energy == ground
         assert set(result.ground_configs) == {
             cfg for cfg, e in table.items() if e == ground
         }

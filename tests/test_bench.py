@@ -657,6 +657,15 @@ BAD_SOLVER_CELLS = {
     "float-qaoa-budget": _cell(qaoa={"regime": "xy", "max_iterations": 2.5}),
     "float-sa-budget": _cell(solver="sa-discrete", sa={"max_iterations": 2.5}),
     "xy-one-rotamer": _cell(rotamers=1, qaoa={"regime": "xy"}),
+    "negative-penalty": _cell(qaoa={"regime": "penalty", "penalty": -1.0}),
+    "short-gamma-range": _cell(qaoa={"regime": "xy", "gamma_range": [0.1]}),
+    "inf-beta-range": _cell(qaoa={"regime": "xy", "beta_range": [0.0, math.inf]}),
+    "nan-temperature": _cell(
+        solver="sa-discrete", sa={"max_iterations": 5, "initial_temperature": math.nan}
+    ),
+    "inf-temperature": _cell(
+        solver="sa-discrete", sa={"max_iterations": 5, "initial_temperature": math.inf}
+    ),
 }
 # a short sa-discrete cell, for plans whose cell fields are malformed
 DISCRETE = {"solver": "sa-discrete", "sa": {"max_iterations": 5}}
@@ -671,6 +680,8 @@ PLANS = {
     "float-residues": {"name": "x", "cells": [_cell(**DISCRETE, num_residues=2.5)]},
     "string-seed": {"name": "x", "cells": [_cell(**DISCRETE, problem_seed="7")]},
     "float-trajectories": {"name": "x", "cells": [_cell(**DISCRETE, trajectories=2.5)]},
+    "nan-target": {"name": "x", "cells": [_cell(**DISCRETE, target_energy=math.nan)]},
+    "inf-self-scale": {"name": "x", "cells": [_cell(**DISCRETE, self_scale=math.inf)]},
 }
 
 
@@ -757,6 +768,47 @@ class TestCli:
                 ),
             ),
             (
+                ["run", "--plan", "EMPTY/negative-penalty.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "negative-penalty", "penalty must be positive and finite, not -1.0"
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/short-gamma-range.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "short-gamma-range",
+                    "gamma_range must be two finite numbers, not [0.1]",
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/inf-beta-range.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "inf-beta-range",
+                    "beta_range must be two finite numbers, not [0.0, inf]",
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/nan-temperature.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "nan-temperature", "initial_temperature must be positive and finite"
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/inf-temperature.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "inf-temperature",
+                    "initial_temperature must be positive and finite",
+                ),
+            ),
+            (
+                ["run", "--plan", "EMPTY/nan-target.json", "--out", "EMPTY/out"],
+                "cells[0]: target_energy must be finite, not nan\n",
+            ),
+            (
+                ["run", "--plan", "EMPTY/inf-self-scale.json", "--out", "EMPTY/out"],
+                "cells[0]: self_scale must be finite, not inf\n",
+            ),
+            (
                 ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
                 "[Errno 2] No such file or directory: 'EMPTY/missing.json'\n",
             ),
@@ -788,6 +840,13 @@ class TestCli:
             "run-float-qaoa-budget",
             "run-float-sa-budget",
             "run-xy-one-rotamer",
+            "run-negative-penalty",
+            "run-short-gamma-range",
+            "run-inf-beta-range",
+            "run-nan-temperature",
+            "run-inf-temperature",
+            "run-nan-target",
+            "run-inf-self-scale",
             "run-missing-plan",
             "fit-empty",
             "crossover-empty",

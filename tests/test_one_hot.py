@@ -30,8 +30,8 @@ from rotpack.circuits import (
     gate_matrix,
 )
 from rotpack.driver import FirstGroundState, QaoaConfig, init_params, optimize
-from rotpack.problem import decode, random_problem
-from rotpack.qubo import MAX_TABLE_SIZE, all_bitstring_energies
+from rotpack.problem import MAX_TABLE_SIZE, decode, random_problem
+from rotpack.qubo import all_bitstring_energies
 
 # odd (3, 5) and even (4, 6) rings, and n=2 blocks, whose ring is one edge
 SHAPES = [(2, 2), (3, 3), (4, 4), (6, 3), (3, (2, 4, 3)), (2, (5, 6)), (4, (2, 3, 2, 4))]

@@ -1,5 +1,6 @@
 """Energy tables, bitstring codec, file formats, and the instance generator."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import all_bitstrings, problems, problems_with_config
 from rotpack.problem import (
+    MAX_TABLE_SIZE,
     InvalidBitstring,
     ProblemFormatError,
     RotamerProblem,
@@ -74,6 +76,21 @@ class TestEnergy:
             for (i, j) in problem.pair_blocks
         )
         assert problem.energy(config) == pytest.approx(expected, abs=1e-12)
+
+    @given(problems(max_residues=5, max_rotamers=3))
+    def test_energy_table_is_energy_bit_for_bit(self, problem):
+        counts = problem.rotamer_counts
+        configs = itertools.product(*(range(n) for n in counts))
+        expected = np.array([problem.energy(c) for c in configs]).reshape(counts)
+        assert np.array_equal(problem.energy_table(), expected)
+
+    def test_energy_table_limit_is_checked_before_allocating(self):
+        huge = random_problem(30, 7, seed=0)  # 7^30 configurations: no allocation
+        just_over = random_problem(27, 2, seed=0)
+        assert 2**27 > MAX_TABLE_SIZE
+        for problem in (huge, just_over):
+            with pytest.raises(ValueError, match="exceed the table limit"):
+                problem.energy_table()
 
 
 class TestValidation:

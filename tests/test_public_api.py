@@ -17,6 +17,10 @@ import rotpack
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Settable values: every parameter of every function, constructor and public
+# method named in an ``__all__``, ``self`` and ``cls`` excluded.
+SETTABLE_VALUES = 261
+
 # the names a package level exports besides its defining module
 FACADE = {
     ("rotpack", "RotamerProblem"),
@@ -79,6 +83,38 @@ def test_each_export_is_defined_where_it_is_exported():
         for attr in importlib.import_module(name).__all__
     }
     assert exported == FACADE | {("rotpack", "__version__")}
+
+
+def _parameters(fn: object) -> int:
+    try:
+        names = inspect.signature(fn).parameters
+    except ValueError:  # a class with a builtin constructor, e.g. an exception
+        return 0
+    return len([n for n in names if n not in ("self", "cls")])
+
+
+def test_settable_value_count():
+    counted = set()
+    total = 0
+    packages = pkgutil.walk_packages(rotpack.__path__, "rotpack.")
+    for name in ["rotpack"] + [info.name for info in packages]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if id(obj) in counted or not callable(obj):
+                continue
+            counted.add(id(obj))
+            total += _parameters(obj)
+            if inspect.isclass(obj):
+                for member, value in vars(obj).items():
+                    if isinstance(value, (staticmethod, classmethod)):
+                        value = value.__func__
+                    if not member.startswith("_") and inspect.isfunction(value):
+                        total += _parameters(value)
+    assert total == SETTABLE_VALUES, (
+        f"{total} settable values, pinned at {SETTABLE_VALUES}: update"
+        " SETTABLE_VALUES and give the reason in CHANGES.md"
+    )
 
 
 def test_readme_quick_start_runs(monkeypatch, capsys):

@@ -105,6 +105,8 @@ class SaConfig:
 
     def __post_init__(self) -> None:
         _require_integers(self, "max_iterations", "seed")
+        if not isinstance(self.local_search, bool):
+            raise ValueError(f"local_search must be a bool, not {self.local_search!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.initial_temperature < math.inf:

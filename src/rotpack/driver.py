@@ -8,6 +8,13 @@ angles. Cost is counted in circuits executed: iterations times shots per
 iteration, with the final iteration always charged in full because batches
 execute whole.
 
+Each backend simulates the smallest state the regime reaches. On the
+statevector backend an ``xy`` ansatz runs as the one-hot state and the
+other regimes as the dense one; on the MPS backend an ``xy`` ansatz runs
+on a chain with one site per residue (``mps.run_one_hot_mps``) and the
+other regimes as gate circuits on a qubit chain. Either ``xy`` route
+samples the bitstrings of the full qubit register.
+
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
 detection and ``best_energy`` always use the physical (unpenalized) energy
@@ -43,7 +50,7 @@ from .circuits import (
     build_initial_state,
     build_mixer,
 )
-from .mps import MAX_BOND, run_circuit_mps
+from .mps import MAX_BOND, run_circuit_mps, run_one_hot_mps
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
@@ -158,6 +165,8 @@ class QaoaConfig:
                 raise ValueError(
                     f"{name} must be two finite numbers, not {getattr(self, name)!r}"
                 )
+        if not isinstance(self.optimizer, str):
+            raise ValueError(f"optimizer must be a string, not {self.optimizer!r}")
         if self.optimizer.lower() not in OPTIMIZER_METHODS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.shots_per_iteration is not None and self.shots_per_iteration < 1:
@@ -292,13 +301,22 @@ def optimize(
     else:
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
-            circuit = assemble_ansatz(regime, blocks, h_opt, params)
-            mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
+            if regime == "xy":
+                # one site per residue: the state never leaves the one-hot
+                # subspace, and samples as the qubit chain would
+                mstate = run_one_hot_mps(
+                    blocks, h_opt, params, max_bond=config.max_bond
+                )
+                bits = mstate.sample_one_hot(shots, rng)
+            else:
+                circuit = assemble_ansatz(regime, blocks, h_opt, params)
+                mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
+                bits = mstate.sample(shots, rng)
             meta = {
                 "max_bond_reached": mstate.max_bond_reached,
                 "discarded_weight": mstate.discarded_weight,
             }
-            return mstate.sample(shots, rng), meta
+            return bits, meta
 
     threshold = stop_threshold(
         None if config.stop_mode is None else config.stop_mode.target_energy

@@ -192,6 +192,11 @@ class TestSaConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SaConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["false", 0, 1.0, None])
+    def test_local_search_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="local_search must be a bool"):
+            SaConfig(local_search=value)
+
 
 class TestDualAnneal:
     def test_evaluation_count_identity(self):

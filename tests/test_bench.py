@@ -658,6 +658,10 @@ BAD_SOLVER_CELLS = {
     "float-sa-budget": _cell(solver="sa-discrete", sa={"max_iterations": 2.5}),
     "xy-one-rotamer": _cell(rotamers=1, qaoa={"regime": "xy"}),
     "negative-penalty": _cell(qaoa={"regime": "penalty", "penalty": -1.0}),
+    "int-optimizer": _cell(qaoa={"regime": "xy", "optimizer": 5}),
+    "string-local-search": _cell(
+        solver="sa", sa={"max_iterations": 5, "local_search": "false"}
+    ),
     "short-gamma-range": _cell(qaoa={"regime": "xy", "gamma_range": [0.1]}),
     "inf-beta-range": _cell(qaoa={"regime": "xy", "beta_range": [0.0, math.inf]}),
     "nan-temperature": _cell(
@@ -774,6 +778,16 @@ class TestCli:
                 ),
             ),
             (
+                ["run", "--plan", "EMPTY/int-optimizer.json", "--out", "EMPTY/out"],
+                bad_cell_error("int-optimizer", "optimizer must be a string, not 5"),
+            ),
+            (
+                ["run", "--plan", "EMPTY/string-local-search.json", "--out", "EMPTY/out"],
+                bad_cell_error(
+                    "string-local-search", "local_search must be a bool, not 'false'"
+                ),
+            ),
+            (
                 ["run", "--plan", "EMPTY/short-gamma-range.json", "--out", "EMPTY/out"],
                 bad_cell_error(
                     "short-gamma-range",
@@ -841,6 +855,8 @@ class TestCli:
             "run-float-sa-budget",
             "run-xy-one-rotamer",
             "run-negative-penalty",
+            "run-int-optimizer",
+            "run-string-local-search",
             "run-short-gamma-range",
             "run-inf-beta-range",
             "run-nan-temperature",

@@ -147,6 +147,8 @@ class TestConfig:
             QaoaConfig(regime="baseline", penalty=3.0)
         with pytest.raises(ValueError, match="unknown optimizer 'bfgs'"):
             QaoaConfig(regime="xy", optimizer="bfgs")
+        with pytest.raises(ValueError, match="optimizer must be a string, not 5"):
+            QaoaConfig(regime="xy", optimizer=5)
         with pytest.raises(ValueError, match="shots_per_iteration"):
             QaoaConfig(regime="xy", shots_per_iteration=0)
         with pytest.raises(ValueError, match="max_iterations"):
@@ -347,6 +349,22 @@ class TestOptimize:
         assert rec.iterations_used == 3
         assert rec.total_shots == 120
         assert not rec.converged
+
+    @pytest.mark.parametrize("regime", ["xy", "penalty"])
+    def test_mps_xy_runs_on_residue_sites(self, regime, monkeypatch):
+        # xy never reaches the qubit chain; the other regimes never leave it
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong chain")
+
+        other = "run_circuit_mps" if regime == "xy" else "run_one_hot_mps"
+        monkeypatch.setattr(f"rotpack.driver.{other}", refuse)
+        problem = random_problem(3, 3, seed=2)
+        cfg = QaoaConfig(regime=regime, backend="mps", max_iterations=2, seed=4)
+        rec = optimize(problem, cfg)
+        assert rec.iterations_used == 2
+        # the residue chain's bonds are at most 3 across any cut; the qubit
+        # chain's middle cut splits a block
+        assert (rec.max_bond_reached <= 3) == (regime == "xy")
 
     def test_statevector_runs_leave_mps_fields_empty(self):
         problem = random_problem(1, 2, seed=0)

@@ -17,8 +17,8 @@ from rotpack.circuits import (
     build_mixer,
 )
 from rotpack.driver import init_params
-from rotpack.mps import MAX_BOND, MpsState, run_circuit_mps
-from rotpack.problem import random_problem
+from rotpack.mps import MAX_BOND, MpsState, run_circuit_mps, run_one_hot_mps
+from rotpack.problem import random_problem, valid_mask
 from rotpack.qubo import all_bitstring_energies
 from rotpack.statevector import (
     apply_one_hot_gate,
@@ -217,6 +217,92 @@ class TestOneHotOracle:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         assert state.discarded_weight == 0.0
         assert state.max_bond_reached < MAX_BOND
+
+
+# criterion 7's layer-tied angles, by rotamer count
+CRITERION_7_ANGLES = {
+    3: (-0.5485, 0.5362),
+    4: (-0.7999, 0.4674),
+    5: (-0.6175, 0.3649),
+    6: (-0.9018, 0.8198),
+    7: (-0.9459, 0.9606),
+}
+
+
+def residue_chain(problem, params, max_bond: int | None = MAX_BOND) -> MpsState:
+    h = ansatz_hamiltonian(problem, "xy")
+    return run_one_hot_mps(problem.blocks, h, params, max_bond=max_bond)
+
+
+class TestResidueChain:
+    """The xy ansatz with one site per residue against the one-hot tensor
+    and the qubit chain."""
+
+    @pytest.mark.parametrize("rotamers", sorted(CRITERION_7_ANGLES))
+    def test_matches_one_hot_state_at_criterion_7(self, rotamers):
+        gamma, beta = CRITERION_7_ANGLES[rotamers]
+        problem = random_problem(5, rotamers, seed=200 + rotamers)
+        state = residue_chain(problem, [gamma, beta, gamma, beta])
+        want = one_hot_reference(problem, gamma, beta, 2)
+        np.testing.assert_allclose(state.amplitudes(), want, rtol=0, atol=1e-9)
+        assert state.dims == (rotamers,) * 5
+        assert state.discarded_weight == 0.0
+        assert state.norm() == pytest.approx(1.0)
+        # nearest neighbors only: R - 1 updates per cost layer, no swaps
+        assert (state.two_site_updates, state.swap_updates) == (8, 0)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            random_problem(4, (2, 4, 3, 5), seed=11),
+            random_problem(5, 3, seed=12, nearest_neighbor_only=False, decay=0.5),
+        ],
+        ids=["mixed-rotamers", "long-range"],
+    )
+    def test_matches_one_hot_state(self, problem):
+        state = residue_chain(problem, [0.4, -0.7] * 3)
+        want = one_hot_reference(problem, 0.4, -0.7, 3)
+        np.testing.assert_allclose(state.amplitudes(), want, rtol=0, atol=1e-9)
+        assert state.dims == problem.rotamer_counts
+        if problem.nearest_neighbor_only:
+            assert state.swap_updates == 0
+        else:
+            # couplings past the next residue are routed with swaps
+            assert state.swap_updates > 0
+
+    @pytest.mark.parametrize("residues, rotamers", [(3, 3), (5, 4), (5, 5), (5, 7)])
+    def test_samples_equal_qubit_chain(self, residues, rotamers):
+        problem = random_problem(residues, rotamers, seed=7)
+        params = init_params(2, np.random.default_rng(rotamers))
+        state = residue_chain(problem, params, max_bond=64)
+        qubits = run_circuit_mps(ansatz_circuit(problem, "xy", params), max_bond=64)
+        got = state.sample_one_hot(500, np.random.default_rng(1))
+        np.testing.assert_array_equal(got, qubits.sample(500, np.random.default_rng(1)))
+        assert got.shape == (500, problem.num_qubits)
+        assert state.two_site_updates < qubits.two_site_updates
+
+    def test_small_cap_truncates(self):
+        problem = random_problem(5, 4, seed=3)
+        exact = residue_chain(problem, [0.7, 0.9, -0.4, 0.6], max_bond=None)
+        assert exact.discarded_weight == 0.0
+        assert exact.max_bond_reached > 3
+        capped = residue_chain(problem, [0.7, 0.9, -0.4, 0.6], max_bond=3)
+        assert capped.max_bond_reached == 3
+        assert capped.discarded_weight > 0.0
+        assert capped.norm() == pytest.approx(1.0)
+        bits = capped.sample_one_hot(200, np.random.default_rng(0))
+        # truncation never leaves the one-hot subspace
+        assert valid_mask(bits, problem).all()
+
+    def test_validation(self):
+        problem = random_problem(2, 3, seed=1)
+        h = ansatz_hamiltonian(problem, "xy")
+        with pytest.raises(ValueError, match="2p angles"):
+            run_one_hot_mps(problem.blocks, h, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="width"):
+            run_one_hot_mps(problem.blocks[:1], h, [0.1, 0.2])
+        with pytest.raises(ValueError, match="nonempty vector"):
+            MpsState([[1.0], []])
 
 
 class TestRouting:

@@ -23,6 +23,7 @@ from ..baselines import SaConfig, brute_force, sa_ensemble
 from ..driver import (
     FirstGroundState,
     QaoaConfig,
+    check_workers,
     run_ensemble,
     write_records_jsonl,
 )
@@ -131,11 +132,13 @@ def run_experiment(
 ) -> list[dict]:
     """Run every cell of a plan, skipping cells already summarized.
 
-    Every cell's solver settings are checked before any cell runs. Each
-    ``summary.json`` and the ``index.json`` are written whole or not at
-    all, so an interrupted run leaves the previous file or none, and
-    running the plan again resumes it.
+    The worker count and every cell's solver settings are checked before
+    the output directory is made. Each ``summary.json`` and the
+    ``index.json`` are written whole or not at all, so an interrupted run
+    leaves the previous file or none, and running the plan again resumes
+    it.
     """
+    check_workers(workers)
     for cell in plan.cells:
         _solver_config(cell)
     out = Path(out_dir)

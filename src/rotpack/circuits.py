@@ -78,6 +78,8 @@ class Gate:
         params = tuple(float(p) for p in self.params)
         if len(qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {qubits}")
+        if min(qubits, default=0) < 0:
+            raise ValueError(f"{self.kind} qubits {qubits} out of range: negative")
         if arity == 2 and qubits[0] == qubits[1]:
             raise ValueError("two-qubit gate needs distinct qubits")
         if len(params) != nparams:
@@ -107,7 +109,7 @@ class Circuit:
     def __post_init__(self) -> None:
         gates = tuple(self.gates)
         for g in gates:
-            if any(q >= self.num_qubits or q < 0 for q in g.qubits):
+            if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")
         if not 0 <= self.prep_len <= len(gates):
             raise ValueError("prep_len out of range")

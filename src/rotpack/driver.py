@@ -48,7 +48,7 @@ from .circuits import (
     ansatz_hamiltonian,
     assemble_ansatz,
     build_initial_state,
-    build_mixer,
+    build_mixer,  # unused here: perfbench/tracing.py wraps driver.build_mixer
 )
 from .mps import MAX_BOND, run_circuit_mps, run_one_hot_mps
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
@@ -98,6 +98,17 @@ def _require_integers(config: object, *names: str) -> None:
             isinstance(value, bool) or not isinstance(value, numbers.Integral)
         ):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_workers(workers: object) -> None:
+    """Raise ValueError unless ``workers`` is an integer of at least 1 (a
+    bool is not one)."""
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, numbers.Integral)
+        or workers < 1
+    ):
+        raise ValueError(f"workers must be an integer of at least 1, not {workers!r}")
 
 
 def _finite_pair(value: object) -> bool:
@@ -274,27 +285,28 @@ def optimize(
 
     if config.backend == "statevector":
         init_circuit = build_initial_state(regime, blocks)
-        # the cost layer is diagonal: apply it as one exact phase profile
+        # the cost layer is diagonal: apply it as one exact phase profile; the
+        # mixer's gates are fixed and only beta changes per layer
         if regime == "xy":
             # every block stays at weight one: keep only those amplitudes
             state0 = sv.one_hot_state(init_circuit, blocks)
             basis = sv.one_hot_basis(blocks)
             phase_profile = all_bitstring_energies(h_opt, basis).reshape(state0.shape)
-            # the ring's gates and rows are fixed; only beta changes per layer
             mix = sv.one_hot_mixer(blocks)
         else:
             state0 = sv.run_circuit(init_circuit)
             phase_profile = all_bitstring_energies(h_opt)
             basis = None
-
-            def mix(state: np.ndarray, beta: float) -> None:
-                for g in build_mixer(regime, blocks, beta).gates:
-                    sv.apply_gate(state, g)
+            mix = sv.transverse_mixer(m)
+        # every iteration evolves and phases in these two arrays
+        state = np.empty_like(state0)
+        phase = np.empty_like(state0)
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
-            state = state0.copy()
+            np.copyto(state, state0)
             for k in range(config.p):
-                state *= np.exp(-1j * float(params[2 * k]) * phase_profile)
+                np.multiply(-1j * float(params[2 * k]), phase_profile, out=phase)
+                np.multiply(state, np.exp(phase, out=phase), out=state)
                 mix(state, float(params[2 * k + 1]))
             return sv.sample_state(state, shots, rng, basis), {}
 
@@ -491,6 +503,7 @@ def _run_trajectories(
     """
     if num_trajectories < 1:
         raise ValueError("need at least one trajectory")
+    check_workers(workers)
     if workers > 1:
         with _worker_pool(workers) as pool:
             return list(pool.map(solve, range(num_trajectories)))

@@ -315,6 +315,9 @@ class TestSaEnsemble:
             sa_ensemble(problem, SaConfig(), 0)
         with pytest.raises(ValueError, match="unknown method"):
             sa_ensemble(problem, SaConfig(), 1, method="tabu")
+        for workers in (0, -1, True):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                sa_ensemble(problem, SaConfig(), 1, workers=workers)
 
     def test_trajectories_get_derived_seeds(self):
         problem = random_problem(2, 2, seed=0)

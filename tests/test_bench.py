@@ -40,6 +40,7 @@ from rotpack.bench.reports import (
 from rotpack.problem import random_problem
 
 ROOT = Path(__file__).resolve().parents[1]
+SAMPLE_PLAN = str(ROOT / "data" / "sample_plan.json")
 
 
 def planted_points(slope: float, intercept: float, sizes) -> list[tuple[float, float]]:
@@ -826,6 +827,14 @@ class TestCli:
                 ["run", "--plan", "EMPTY/missing.json", "--out", "EMPTY/out"],
                 "[Errno 2] No such file or directory: 'EMPTY/missing.json'\n",
             ),
+            (
+                ["run", "--plan", SAMPLE_PLAN, "--workers", "0", "--out", "EMPTY/out"],
+                "workers must be an integer of at least 1, not 0\n",
+            ),
+            (
+                ["run", "--plan", SAMPLE_PLAN, "--workers", "-3", "--out", "EMPTY/out"],
+                "workers must be an integer of at least 1, not -3\n",
+            ),
             (["fit", "--in", "EMPTY"], "no cell summaries found\n"),
             (
                 ["crossover", "--in", "EMPTY", "--cpu-ghz", "1", "--qpu-khz", "1"],
@@ -864,6 +873,8 @@ class TestCli:
             "run-nan-target",
             "run-inf-self-scale",
             "run-missing-plan",
+            "run-zero-workers",
+            "run-negative-workers",
             "fit-empty",
             "crossover-empty",
             "report-empty",

@@ -88,6 +88,12 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="takes 1 qubit"):
             Gate("x", (0, 1))
 
+    def test_negative_qubits(self):
+        # a negative index would count from the end of a state's axes
+        for kind, qubits, params in [("x", (-1,), ()), ("rzz", (0, -2), (0.5,))]:
+            with pytest.raises(ValueError, match="out of range: negative"):
+                Gate(kind, qubits, params)
+
     def test_duplicate_qubits(self):
         with pytest.raises(ValueError, match="distinct qubits"):
             Gate("cx", (3, 3))

@@ -444,6 +444,12 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least one trajectory"):
             run_ensemble(problem, QaoaConfig(regime="xy"), 0)
 
+    @pytest.mark.parametrize("workers", [0, -3, 1.0, 2.5, True, "2", None], ids=repr)
+    def test_workers_must_be_a_positive_integer(self, workers):
+        problem = random_problem(1, 2, seed=0)
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+            run_ensemble(problem, QaoaConfig(regime="xy"), 1, workers=workers)
+
     def test_sequential_matches_pool(self):
         problem = random_problem(2, 2, seed=1)
         cfg = QaoaConfig(

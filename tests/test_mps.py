@@ -60,6 +60,13 @@ class TestConstruction:
         with pytest.raises(IndexError, match="out of range"):
             MpsState(2).apply_gate(Gate("x", (2,)))
 
+    def test_negative_qubit_never_reaches_a_site(self):
+        # Python would index the last site from the end
+        state = MpsState(3)
+        with pytest.raises(ValueError, match="out of range: negative"):
+            state.apply_gate(Gate("x", (-1,)))
+        assert state.amplitudes()[0] == 1.0
+
     def test_amplitude_readout_guard(self):
         state = MpsState(17)
         with pytest.raises(ValueError, match="limited to 16 qubits"):

@@ -1,4 +1,5 @@
-"""Dense simulator: gate application, sampling, and diagnostics."""
+"""Dense simulator: gate application, the prepared transverse-field mixer,
+sampling, and diagnostics."""
 
 import math
 
@@ -8,14 +9,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_bitstrings, ansatz_circuit, problems
-from rotpack.circuits import Circuit, Gate, gate_matrix
+from rotpack._rng import generator, trajectory_seed
+from rotpack.circuits import (
+    Circuit,
+    Gate,
+    ansatz_hamiltonian,
+    build_initial_state,
+    build_mixer,
+    gate_matrix,
+)
+from rotpack.driver import QaoaConfig, init_params, optimize
 from rotpack.problem import random_problem, valid_mask
+from rotpack.qubo import all_bitstring_energies
 from rotpack.statevector import (
     apply_gate,
     bits_from_indices,
     invalid_mass,
     run_circuit,
     sample_state,
+    transverse_mixer,
     zero_state,
 )
 
@@ -160,6 +172,95 @@ class TestRunCircuit:
         circ = ansatz_circuit(problem, regime, params)
         state = run_circuit(circ)
         assert np.linalg.norm(state) == pytest.approx(1.0)
+
+
+# every remainder of M modulo the mixer's group size, with one to three groups
+MIXER_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 13]
+
+
+def gate_by_gate_mixer(state: np.ndarray, beta: float) -> np.ndarray:
+    """The transverse-field mixer as ``build_mixer``'s RX gates, one at a time."""
+    m = state.size.bit_length() - 1
+    for g in build_mixer("penalty", [(0, m)], beta).gates:
+        apply_gate(state, g)
+    return state
+
+
+class TestTransverseMixer:
+    @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4, 4.0], ids=str)
+    @pytest.mark.parametrize("m", MIXER_WIDTHS)
+    def test_matches_gate_by_gate(self, m, beta):
+        state = random_state(m, seed=m)
+        want = gate_by_gate_mixer(state.copy(), beta)
+        mix = transverse_mixer(m)
+        assert mix(state, beta) is state
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+        # a second layer on the same preparation
+        assert mix(state, -beta) is state
+        gate_by_gate_mixer(want, -beta)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+    def test_refuses_a_state_of_another_shape(self):
+        mix = transverse_mixer(3)
+        for state in (zero_state(2), zero_state(4), zero_state(3).reshape(2, 4)):
+            with pytest.raises(ValueError, match="takes a state of 8 amplitudes"):
+                mix(state, 0.3)
+
+    @pytest.mark.parametrize("regime", ["baseline", "penalty"])
+    def test_trajectory_prepares_its_mixer_once(self, regime, monkeypatch):
+        # 3 iterations at p=3: 9 mixer layers from one preparation, and no
+        # gate applied after the state preparation's x gates
+        prepared, layers, gates = [], [], []
+
+        def counting_mixer(m):
+            mix = transverse_mixer(m)
+            prepared.append(m)
+
+            def apply(state, beta):
+                layers.append(beta)
+                return mix(state, beta)
+
+            return apply
+
+        def counting_gate(state, gate):
+            gates.append(gate.kind)
+            return apply_gate(state, gate)
+
+        monkeypatch.setattr("rotpack.statevector.transverse_mixer", counting_mixer)
+        monkeypatch.setattr("rotpack.statevector.apply_gate", counting_gate)
+        config = QaoaConfig(regime=regime, p=3, seed=1, max_iterations=3)
+        rec = optimize(random_problem(3, 3, seed=4), config)
+        assert rec.iterations_used == 3
+        assert prepared == [9]
+        assert len(layers) == 9
+        assert gates == ["x"] * 3
+
+    @pytest.mark.parametrize("regime", ["baseline", "penalty"])
+    def test_driver_evolution_matches_gates(self, regime, monkeypatch):
+        # the state and samples of the driver's first iteration, whose
+        # angles are the optimizer's starting point
+        sampled = []
+
+        def capture(state, shots, rng, basis=None):
+            bits = sample_state(state, shots, rng, basis)
+            sampled.append((state.copy(), shots, bits))
+            return bits
+
+        monkeypatch.setattr("rotpack.driver.sv.sample_state", capture)
+        problem = random_problem(4, 3, seed=11)
+        config = QaoaConfig(regime=regime, p=3, seed=2, max_iterations=1)
+        optimize(problem, config, trajectory_id=4)
+        rng = generator(trajectory_seed(2, 4))
+        x0 = init_params(3, rng)
+        table = all_bitstring_energies(ansatz_hamiltonian(problem, regime))
+        want = run_circuit(build_initial_state(regime, problem.blocks))
+        for gamma, beta in zip(x0[0::2], x0[1::2]):
+            want *= np.exp(-1j * gamma * table)
+            for g in build_mixer(regime, problem.blocks, beta).gates:
+                apply_gate(want, g)
+        ((state, shots, bits),) = sampled
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+        assert np.array_equal(bits, sample_state(want, shots, rng))
 
 
 class TestSampling:

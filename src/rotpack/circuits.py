@@ -296,6 +296,15 @@ def ansatz_hamiltonian(
     return qubo_to_ising(build_qubo(problem, penalty=lam))
 
 
+def angle_pairs(params: Sequence[float]) -> list[list[float]]:
+    """The (gamma, beta) pair of each layer, as Python floats, from 2p
+    angles interleaved as (gamma_1, beta_1, ..., gamma_p, beta_p)."""
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 1 or params.size == 0 or params.size % 2:
+        raise ValueError(f"expected 2p angles with p >= 1, got shape {params.shape}")
+    return params.reshape(-1, 2).tolist()
+
+
 def assemble_ansatz(
     regime: str,
     blocks: Sequence[tuple[int, int]],
@@ -308,13 +317,11 @@ def assemble_ansatz(
     ``params`` interleaves the 2p angles as (gamma_1, beta_1, ...,
     gamma_p, beta_p), so p is half its length.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 1 or params.size == 0 or params.size % 2:
-        raise ValueError(f"expected 2p angles with p >= 1, got shape {params.shape}")
+    layers = angle_pairs(params)
     init = build_initial_state(regime, blocks)
     gates = list(init.gates)
     phase = init.phase
-    for gamma, beta in params.reshape(-1, 2).tolist():
+    for gamma, beta in layers:
         cost = build_cost_unitary(h, gamma)
         gates.extend(cost.gates)
         gates.extend(build_mixer(regime, blocks, beta).gates)

@@ -45,6 +45,7 @@ import numpy as np
 from ._rng import generator, trajectory_seed
 from .circuits import (
     REGIMES,
+    angle_pairs,
     ansatz_hamiltonian,
     assemble_ansatz,
     build_initial_state,
@@ -304,10 +305,10 @@ def optimize(
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
             np.copyto(state, state0)
-            for k in range(config.p):
-                np.multiply(-1j * float(params[2 * k]), phase_profile, out=phase)
+            for gamma, beta in angle_pairs(params):
+                np.multiply(-1j * gamma, phase_profile, out=phase)
                 np.multiply(state, np.exp(phase, out=phase), out=state)
-                mix(state, float(params[2 * k + 1]))
+                mix(state, beta)
             return sv.sample_state(state, shots, rng, basis), {}
 
     else:

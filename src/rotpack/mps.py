@@ -19,16 +19,14 @@ inside the swap that passes its partner.
 
 ``run_circuit_mps`` runs a gate circuit on a qubit chain. It hands each
 run of consecutive ``rz``/``rzz`` gates (a cost layer) to
-``MpsState.apply_diagonal_run``; every other run is applied in block-major
-order: grouped by connected set of qubits, lowest set first, each gate
-keeping its place within its set. Sets act on disjoint qubits, so this is
-the same unitary, but the orthogonality center finishes one set (for
-``xy``, one residue's ring mixer or state preparation) before moving on
-instead of crossing the chain for every color. Each such gate is routed on
-its own, its higher qubit swapped next to the lower one and back. Either
-way every qubit ends at its home site, and each split leaves the
-orthogonality center on the side the route moves toward, so a route pays
-no QR shifts between its steps.
+``MpsState.apply_diagonal_run`` and applies every other gate in circuit
+order through ``MpsState.apply_gate``, which routes a two-qubit gate on its
+own: its higher qubit swapped next to the lower one and back. Either way
+every qubit ends at its home site, and each split leaves the orthogonality
+center on the side the route moves toward, so a route pays no QR shifts
+between its steps. The pipeline's ``penalty`` and ``baseline`` circuits
+give ``apply_gate`` one-qubit gates only; its two-qubit routing serves
+circuits built elsewhere, such as the tests' ``xy`` oracle.
 
 ``run_one_hot_mps`` runs the ``xy`` ansatz on a residue chain, whose
 evolution never leaves the one-hot subspace: site i holds the weight-one
@@ -54,6 +52,7 @@ from .circuits import (
     DIAGONAL_KINDS,
     Circuit,
     Gate,
+    angle_pairs,
     build_initial_state,
     build_mixer,
     gate_matrix,
@@ -357,18 +356,14 @@ class MpsState:
             # tails[a]: the mass of rotamers a and above
             tails = np.zeros((len(probs) + 1, shots))
             tails[:-1] = np.cumsum(probs[::-1], axis=0)[::-1]
-            pick = np.zeros(shots, dtype=np.intp)
-            chosen = np.zeros(shots, dtype=bool)
-            for a in range(dims[site]):
-                # a tail without mass takes rotamer a, so every block chooses
-                prob0 = np.divide(
-                    tails[a + 1], tails[a], out=np.zeros(shots), where=tails[a] > 0.0
-                )
-                prob0[chosen] = 1.0
-                hit = rng.uniform(size=shots) >= prob0
-                bits[:, offsets[site] + a] = hit
-                pick[hit] = a
-                chosen |= hit
+            # a tail without mass takes rotamer a, so every block chooses
+            above, here = tails[1:], tails[:-1]
+            prob0 = np.divide(above, here, out=np.zeros_like(here), where=here > 0.0)
+            # row a holds qubit a's draws: the stream of one call per qubit
+            hits = rng.uniform(size=prob0.shape) >= prob0
+            # the block's first hit chooses; the qubits after it are 0
+            pick = hits.argmax(axis=0)
+            bits[np.arange(shots), offsets[site] + pick] = 1
             return pick
 
         return self._draw(shots, sum(dims), choose)
@@ -420,15 +415,15 @@ def run_circuit_mps(
     """Simulate a circuit from |0...0> as a qubit-chain MPS.
 
     Each maximal run of consecutive ``rz``/``rzz`` gates goes to
-    :meth:`MpsState.apply_diagonal_run`; every other run goes gate by gate
-    to :meth:`MpsState.apply_gate` in block-major order.
+    :meth:`MpsState.apply_diagonal_run`; every other gate goes to
+    :meth:`MpsState.apply_gate` in circuit order.
     """
     state = MpsState(circuit.num_qubits, max_bond=max_bond, threshold=threshold)
     for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in DIAGONAL_KINDS):
         if diagonal:
             state.apply_diagonal_run(list(run))
         else:
-            for gate in _block_major(list(run)):
+            for gate in run:
                 state.apply_gate(gate)
     if circuit.phase != 0.0:
         state.scale(np.exp(1j * circuit.phase))
@@ -454,9 +449,7 @@ def run_one_hot_mps(
     multiplied in their order, which keeps the Trotter order. Sample it
     with :meth:`MpsState.sample_one_hot`.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 1 or params.size == 0 or params.size % 2:
-        raise ValueError(f"expected 2p angles with p >= 1, got shape {params.shape}")
+    layers = angle_pairs(params)
     if max(o + n for o, n in blocks) != h.num_spins:
         raise ValueError("blocks do not match the Hamiltonian's width")
     sizes = {n for _, n in blocks}
@@ -465,7 +458,7 @@ def run_one_hot_mps(
     }
     selves, pairs = _residue_energies(blocks, h)
     state = MpsState([prep[n] for _, n in blocks], max_bond=max_bond)
-    for gamma, beta in params.reshape(-1, 2).tolist():
+    for gamma, beta in layers:
         state._apply_diagonal(
             {i: np.exp(-1j * gamma * e) for i, e in enumerate(selves)},
             {pair: np.exp(-1j * gamma * e) for pair, e in pairs.items()},
@@ -512,24 +505,3 @@ def _ring_unitary(n: int, beta: float) -> np.ndarray:
         rows = list(gate.qubits)
         out[rows] = rotation @ out[rows]
     return out
-
-
-def _block_major(gates: list[Gate]) -> list[Gate]:
-    """The gates grouped by connected set of qubits, lowest set first.
-
-    Gates of different sets act on disjoint qubits, so the reordered run is
-    the same unitary; within a set the gates keep their order.
-    """
-    root: dict[int, int] = {}
-
-    def find(q: int) -> int:
-        while root.get(q, q) != q:
-            q = root[q]
-        return q
-
-    for gate in gates:
-        # each set's root is its lowest qubit
-        first, *rest = sorted(find(q) for q in gate.qubits)
-        for other in rest:
-            root[other] = first
-    return sorted(gates, key=lambda g: find(g.qubits[0]))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -270,7 +271,7 @@ def random_problem(
     Draw order is fixed (all self energies, then pair blocks in
     lexicographic residue order), so a seed pins the instance exactly.
     """
-    if isinstance(rotamers, int):
+    if isinstance(rotamers, numbers.Integral):
         counts = (rotamers,) * num_residues
     else:
         counts = tuple(int(n) for n in rotamers)
@@ -332,39 +333,47 @@ def load_problem(path: str | Path) -> RotamerProblem:
     path = Path(path)
     doc = json.loads(path.read_text())
     try:
-        num_residues = int(doc["num_residues"])
+        num_residues = _integer(doc["num_residues"], "num_residues")
         counts_raw = doc["rotamers_per_residue"]
     except KeyError as exc:
         raise ProblemFormatError(f"missing required field {exc}") from exc
-    if isinstance(counts_raw, int):
-        counts = (counts_raw,) * num_residues
+    if isinstance(counts_raw, list):
+        counts = tuple(_integer(n, "rotamers_per_residue") for n in counts_raw)
     else:
-        counts = tuple(int(n) for n in counts_raw)
+        counts = (_integer(counts_raw, "rotamers_per_residue"),) * num_residues
     if len(counts) != num_residues:
         raise ProblemFormatError(
             "rotamers_per_residue length does not match num_residues"
         )
-    nn_only = bool(doc.get("nearest_neighbor_only", True))
-
-    self_rows = [
-        (int(r["residue"]), int(r["rotamer"]), float(r["energy"]))
-        for r in doc.get("self_energy", [])
-    ]
-    pair_rows = [
-        (
-            int(r["res_i"]),
-            int(r["rot_i"]),
-            int(r["res_j"]),
-            int(r["rot_j"]),
-            float(r["energy"]),
+    nn_only = doc.get("nearest_neighbor_only", True)
+    if not isinstance(nn_only, bool):
+        raise ProblemFormatError(
+            f"nearest_neighbor_only must be true or false, not {nn_only!r}"
         )
-        for r in doc.get("pair_energy", [])
-    ]
+
+    self_rows = _json_rows(doc, "self_energy", ("residue", "rotamer"))
+    pair_rows = _json_rows(doc, "pair_energy", ("res_i", "rot_i", "res_j", "rot_j"))
     if "tables" in doc:
         s_rows, p_rows = _read_table_csv(path.parent / doc["tables"])
         self_rows.extend(s_rows)
         pair_rows.extend(p_rows)
     return _assemble(counts, nn_only, self_rows, pair_rows)
+
+
+def _json_rows(doc: dict, kind: str, keys: tuple[str, ...]) -> list[tuple]:
+    """Each row of ``doc[kind]`` as its integer ``keys``, then its energy."""
+    return [
+        (*(_integer(r[k], f"{kind} {k}") for k in keys), float(r["energy"]))
+        for r in doc.get(kind, [])
+    ]
+
+
+def _integer(value: object, field: str) -> int:
+    """``value`` if it is an integer (a bool is not one), else
+    :class:`ProblemFormatError` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProblemFormatError(f"{field} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _read_table_csv(

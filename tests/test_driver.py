@@ -29,6 +29,7 @@ from rotpack.driver import (
     write_records_jsonl,
 )
 from rotpack.driver import _BLAS_THREADS, _worker_pool
+from rotpack.mps import MpsState
 from rotpack.problem import decode, load_problem, random_problem
 from rotpack.qubo import build_qubo, qubo_to_ising
 
@@ -365,6 +366,24 @@ class TestOptimize:
         # the residue chain's bonds are at most 3 across any cut; the qubit
         # chain's middle cut splits a block
         assert (rec.max_bond_reached <= 3) == (regime == "xy")
+
+    @pytest.mark.parametrize("regime", ["penalty", "baseline"])
+    def test_qubit_chain_gets_one_qubit_gates_only(self, regime, monkeypatch):
+        # every two-qubit gate of these circuits is in a diagonal run, so
+        # run_circuit_mps may apply the rest in circuit order
+        applied = []
+        apply_gate = MpsState.apply_gate
+
+        def recorded(self, gate):
+            applied.append(gate)
+            apply_gate(self, gate)
+
+        monkeypatch.setattr(MpsState, "apply_gate", recorded)
+        problem = random_problem(3, 3, seed=2)
+        cfg = QaoaConfig(regime=regime, backend="mps", max_iterations=2, seed=4)
+        assert optimize(problem, cfg).iterations_used == 2
+        assert applied
+        assert {len(g.qubits) for g in applied} == {1}
 
     def test_statevector_runs_leave_mps_fields_empty(self):
         problem = random_problem(1, 2, seed=0)

@@ -18,7 +18,7 @@ from rotpack.circuits import (
 )
 from rotpack.driver import init_params
 from rotpack.mps import MAX_BOND, MpsState, run_circuit_mps, run_one_hot_mps
-from rotpack.problem import random_problem, valid_mask
+from rotpack.problem import encode, random_problem, valid_mask
 from rotpack.qubo import all_bitstring_energies
 from rotpack.statevector import (
     apply_one_hot_gate,
@@ -277,7 +277,9 @@ class TestResidueChain:
             # couplings past the next residue are routed with swaps
             assert state.swap_updates > 0
 
-    @pytest.mark.parametrize("residues, rotamers", [(3, 3), (5, 4), (5, 5), (5, 7)])
+    @pytest.mark.parametrize(
+        "residues, rotamers", [(3, 3), (5, 4), (5, 5), (5, 7), (4, (2, 4, 3, 5))]
+    )
     def test_samples_equal_qubit_chain(self, residues, rotamers):
         problem = random_problem(residues, rotamers, seed=7)
         params = init_params(2, np.random.default_rng(rotamers))
@@ -287,6 +289,33 @@ class TestResidueChain:
         np.testing.assert_array_equal(got, qubits.sample(500, np.random.default_rng(1)))
         assert got.shape == (500, problem.num_qubits)
         assert state.two_site_updates < qubits.two_site_updates
+
+    def test_basis_state_gives_its_rotamers(self):
+        # the chosen rotamers include each block's first and last, where
+        # no mass lies above the choice
+        problem = random_problem(4, (3, 4, 2, 5), seed=0)
+        config = (2, 0, 1, 4)
+        state = MpsState([np.eye(n)[a] for n, a in zip(problem.rotamer_counts, config)])
+        bits = state.sample_one_hot(300, np.random.default_rng(3))
+        np.testing.assert_array_equal(bits, np.tile(encode(config, problem), (300, 1)))
+
+    @pytest.mark.parametrize("idx, residues, rotamers", [(5, 3, 3), (8, 3, 4), (9, 4, 3)])
+    def test_samples_match_exact_distribution(self, idx, residues, rotamers):
+        # criterion 6's instances and angles for these shapes
+        problem = random_problem(residues, rotamers, seed=30 + idx)
+        rng = np.random.default_rng(60 + idx)
+        p = int(rng.integers(1, 4))
+        params = np.empty(2 * p)
+        params[0::2] = rng.uniform(-0.5, 0.5, size=p)
+        params[1::2] = rng.uniform(-1.0, 1.0, size=p)
+        exact = np.abs(run_circuit(ansatz_circuit(problem, "xy", params))) ** 2
+        shots = 100_000
+        bits = residue_chain(problem, params).sample_one_hot(
+            shots, np.random.default_rng(90 + idx)
+        )
+        indices = bits.astype(np.int64) @ (1 << np.arange(problem.num_qubits))
+        counts = np.bincount(indices, minlength=exact.size)
+        assert 0.5 * np.abs(counts / shots - exact).sum() < 0.02
 
     def test_small_cap_truncates(self):
         problem = random_problem(5, 4, seed=3)
@@ -347,75 +376,6 @@ class TestRouting:
         assert state.max_bond_reached <= ref.max_bond_reached
         assert state.discarded_weight <= ref.discarded_weight
         assert state.two_site_updates < ref.two_site_updates
-
-
-def count_qr_shifts(monkeypatch) -> list[int]:
-    """Wrap both center shifts so each call adds one to the returned counter."""
-    count = [0]
-    for name in ("_shift_center_left", "_shift_center_right"):
-        shift = getattr(MpsState, name)
-
-        def counted(self, shift=shift):
-            count[0] += 1
-            shift(self)
-
-        monkeypatch.setattr(MpsState, name, counted)
-    return count
-
-
-class TestBlockMajor:
-    def test_runs_cut_qr_shifts(self, monkeypatch):
-        problem = random_problem(5, 5, seed=3)
-        circ = ansatz_circuit(problem, "xy", [0.3] * 4)
-        shifts = count_qr_shifts(monkeypatch)
-        state = run_circuit_mps(circ)
-        assert shifts[0] == 126
-        # the same diagonal walks, with every other gate in circuit order
-        shifts[0] = 0
-        ref = MpsState(circ.num_qubits)
-        for diagonal, run in groupby(circ.gates, key=lambda g: g.kind in ("rz", "rzz")):
-            if diagonal:
-                ref.apply_diagonal_run(list(run))
-            else:
-                for gate in run:
-                    ref.apply_gate(gate)
-        assert shifts[0] == 371
-        assert state.two_site_updates == ref.two_site_updates == 650
-
-    def test_run_matches_dense_and_keeps_each_qubits_order(self, monkeypatch):
-        # sets {0, 1, 2} and {4, 5}, and a chain {3, 6, 7} linked through
-        # qubit 6, whose (3, 6) gate spans the {4, 5} set
-        gates = [Gate("rx", (q,), (0.2 + 0.3 * q,)) for q in range(8)]
-        gates += [
-            Gate("xy", (4, 5), (0.7,)),
-            Gate("cx", (6, 7)),
-            Gate("xy", (0, 2), (0.4,)),
-            Gate("a", (3, 6), (0.6, 0.2)),
-            Gate("cx", (2, 1)),
-            Gate("rx", (5,), (1.1,)),
-            Gate("xy", (7, 6), (-0.9,)),
-            Gate("a", (1, 0), (0.3, -0.5)),
-            Gate("xy", (5, 4), (0.8,)),
-            Gate("rx", (3,), (-0.4,)),
-        ]
-        circ = Circuit(num_qubits=8, gates=tuple(gates))
-        applied = []
-        apply_gate = MpsState.apply_gate
-
-        def recorded(self, gate):
-            applied.append(gate)
-            apply_gate(self, gate)
-
-        monkeypatch.setattr(MpsState, "apply_gate", recorded)
-        state = run_circuit_mps(circ, max_bond=None)
-        np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
-        assert sorted(applied, key=gates.index) == gates
-        for q in range(8):
-            assert [g for g in applied if q in g.qubits] == [g for g in gates if q in g.qubits]
-        # sets come lowest first, the run's gates after the opening rx layer
-        sets = [{0, 1, 2}, {3, 6, 7}, {4, 5}]
-        order = [next(i for i, qs in enumerate(sets) if g.qubits[0] in qs) for g in applied[8:]]
-        assert order == sorted(order)
 
 
 _SWAP_4X4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

@@ -208,6 +208,13 @@ class TestGenerator:
         for d in range(2, n_res):
             assert max_abs[d] <= decay ** (d - 1) * max_abs[1] + 1e-15
 
+    def test_numpy_integer_rotamer_count(self):
+        p = random_problem(2, np.int64(3), seed=1)
+        q = random_problem(2, 3, seed=1)
+        assert p.rotamer_counts == q.rotamer_counts == (3, 3)
+        np.testing.assert_array_equal(p.self_energies, q.self_energies)
+        np.testing.assert_array_equal(p.pair_blocks[(0, 1)], q.pair_blocks[(0, 1)])
+
     def test_scales(self):
         p = random_problem(2, 2, seed=3, self_scale=0.0, pair_scale=2.0)
         assert np.all(p.self_energies == 0.0)
@@ -257,6 +264,50 @@ class TestFiles:
     def test_missing_required_field(self, tmp_path):
         with pytest.raises(ProblemFormatError, match="missing required"):
             load_problem(self._write(tmp_path, {"num_residues": 2}))
+
+    @pytest.mark.parametrize(
+        "field, keys, value",
+        [
+            ("num_residues", ("num_residues",), 2.7),
+            ("rotamers_per_residue", ("rotamers_per_residue",), [2.9, 2]),
+            ("rotamers_per_residue", ("rotamers_per_residue",), 2.5),
+            ("rotamers_per_residue", ("rotamers_per_residue",), "22"),
+            ("rotamers_per_residue", ("rotamers_per_residue",), [True, 2]),
+            ("nearest_neighbor_only", ("nearest_neighbor_only",), "false"),
+            ("self_energy residue", ("self_energy", 2, "residue"), 1.0),
+            ("self_energy rotamer", ("self_energy", 0, "rotamer"), 0.5),
+            ("pair_energy res_i", ("pair_energy", 0, "res_i"), True),
+            ("pair_energy rot_i", ("pair_energy", 0, "rot_i"), 0.5),
+            ("pair_energy res_j", ("pair_energy", 0, "res_j"), "1"),
+            ("pair_energy rot_j", ("pair_energy", 0, "rot_j"), 1.0),
+        ],
+        ids=[
+            "num_residues-float",
+            "counts-float-in-list",
+            "counts-float",
+            "counts-string",
+            "counts-bool-in-list",
+            "nn_only-string",
+            "self-residue-float",
+            "self-rotamer-float",
+            "pair-res_i-bool",
+            "pair-rot_i-float",
+            "pair-res_j-string",
+            "pair-rot_j-float",
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, tmp_path, field, keys, value):
+        doc = self._base_doc()
+        doc["pair_energy"] = [
+            {"res_i": 0, "rot_i": 1, "res_j": 1, "rot_j": 1, "energy": 0.5}
+        ]
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ProblemFormatError, match=f"^{field} must be"):
+            load_problem(self._write(tmp_path, doc))
 
     def test_missing_self_entry(self, tmp_path):
         doc = self._base_doc()

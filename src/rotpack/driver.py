@@ -11,9 +11,9 @@ execute whole.
 Each backend simulates the smallest state the regime reaches. On the
 statevector backend an ``xy`` ansatz runs as the one-hot state and the
 other regimes as the dense one; on the MPS backend an ``xy`` ansatz runs
-on a chain with one site per residue (``mps.run_one_hot_mps``) and the
-other regimes as gate circuits on a qubit chain. Either ``xy`` route
-samples the bitstrings of the full qubit register.
+on a chain with one site per residue (``mps.run_one_hot_mps``), under the
+instance's own energy tables, and the other regimes as gate circuits on a
+qubit chain. Either ``xy`` route samples the full qubit register.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -51,7 +51,7 @@ from .circuits import (
     build_initial_state,
     build_mixer,  # unused here: perfbench/tracing.py wraps driver.build_mixer
 )
-from .mps import MAX_BOND, run_circuit_mps, run_one_hot_mps
+from .mps import MAX_BOND, MpsState, run_circuit_mps, run_one_hot_mps
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
@@ -303,33 +303,27 @@ def optimize(
         state = np.empty_like(state0)
         phase = np.empty_like(state0)
 
-        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
+        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, None]:
             np.copyto(state, state0)
             for gamma, beta in angle_pairs(params):
                 np.multiply(-1j * gamma, phase_profile, out=phase)
                 np.multiply(state, np.exp(phase, out=phase), out=state)
                 mix(state, beta)
-            return sv.sample_state(state, shots, rng, basis), {}
+            return sv.sample_state(state, shots, rng, basis), None
+
+    elif regime == "xy":
+        # one site per residue: the state never leaves the one-hot subspace
+        # and samples as the qubit chain would
+        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, MpsState]:
+            mstate = run_one_hot_mps(problem, params, max_bond=config.max_bond)
+            return mstate.sample_one_hot(shots, rng), mstate
 
     else:
 
-        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, dict]:
-            if regime == "xy":
-                # one site per residue: the state never leaves the one-hot
-                # subspace, and samples as the qubit chain would
-                mstate = run_one_hot_mps(
-                    blocks, h_opt, params, max_bond=config.max_bond
-                )
-                bits = mstate.sample_one_hot(shots, rng)
-            else:
-                circuit = assemble_ansatz(regime, blocks, h_opt, params)
-                mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
-                bits = mstate.sample(shots, rng)
-            meta = {
-                "max_bond_reached": mstate.max_bond_reached,
-                "discarded_weight": mstate.discarded_weight,
-            }
-            return bits, meta
+        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, MpsState]:
+            circuit = assemble_ansatz(regime, blocks, h_opt, params)
+            mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
+            return mstate.sample(shots, rng), mstate
 
     threshold = stop_threshold(
         None if config.stop_mode is None else config.stop_mode.target_energy
@@ -369,10 +363,10 @@ def optimize(
                 continue
             asks_this_round += 1
             iterations += 1
-            bits, meta = run_iteration(params)
-            if "max_bond_reached" in meta:
-                max_bond_seen = max(max_bond_seen or 0, meta["max_bond_reached"])
-                worst_discard = max(worst_discard or 0.0, meta["discarded_weight"])
+            bits, mstate = run_iteration(params)
+            if mstate is not None:
+                max_bond_seen = max(max_bond_seen or 0, mstate.max_bond_reached)
+                worst_discard = max(worst_discard or 0.0, mstate.discarded_weight)
 
             energies = bare_qubo.energies(bits)
             valid = valid_mask(bits, problem)

@@ -30,9 +30,10 @@ circuits built elsewhere, such as the tests' ``xy`` oracle.
 
 ``run_one_hot_mps`` runs the ``xy`` ansatz on a residue chain, whose
 evolution never leaves the one-hot subspace: site i holds the weight-one
-states of residue i's block of qubits. State preparation, the Ising fields
-and intra-block couplings, and the ring mixer are one-site operations;
-each coupled pair of residues is one diagonal two-site phase. A
+states of residue i's block of qubits. Its cost layers read the
+instance's own energy tables: state preparation, the self energies and the
+ring mixer are one-site operations; each nonzero pair block is one
+diagonal two-site phase. A
 nearest-neighbor instance thus takes R - 1 two-site updates per cost layer
 and no swaps, where the qubit chain routes every ring gate and coupling.
 ``MpsState.sample_one_hot`` draws from it with the qubit sampler's random
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
-from itertools import combinations, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .circuits import (
     gate_matrix,
     pair_matrix,
 )
-from .qubo import IsingHamiltonian
+from .problem import RotamerProblem
 from .statevector import one_hot_state
 
 __all__ = ["MpsState", "run_circuit_mps", "run_one_hot_mps"]
@@ -431,8 +432,7 @@ def run_circuit_mps(
 
 
 def run_one_hot_mps(
-    blocks: Sequence[tuple[int, int]],
-    h: IsingHamiltonian,
+    problem: RotamerProblem,
     params: Sequence[float],
     *,
     max_bond: int | None = MAX_BOND,
@@ -440,23 +440,23 @@ def run_one_hot_mps(
     """The ``xy`` ansatz of ``circuits.assemble_ansatz`` on a residue chain.
 
     Site i holds the weight-one states of block i, one per rotamer. It
-    starts as the block's part of the ``xy`` state preparation. Each cost
-    layer multiplies in exp(-i * gamma * E) as one diagonal phase per site
-    (the block's fields and intra-block couplings; site 0 also carries the
-    constant) and one diagonal two-site phase per pair of coupled blocks,
-    routed like :meth:`MpsState.apply_diagonal_run`. Each mixer is one
-    unitary per site: the block's ``xy`` gates of ``build_mixer``
-    multiplied in their order, which keeps the Trotter order. Sample it
-    with :meth:`MpsState.sample_one_hot`.
+    starts as the block's part of the ``xy`` state preparation. There the
+    bare Ising energy is the instance's, so each cost layer multiplies in
+    exp(-i * gamma * E) from ``problem``'s tables: residue i's self energies
+    as one phase on site i, each pair block that is not all zero as one
+    diagonal two-site phase, routed like :meth:`MpsState.apply_diagonal_run`.
+    Each mixer is one unitary per site: the block's ``xy`` gates of
+    ``build_mixer`` multiplied in their order, which keeps the Trotter
+    order. Sample it with :meth:`MpsState.sample_one_hot`.
     """
     layers = angle_pairs(params)
-    if max(o + n for o, n in blocks) != h.num_spins:
-        raise ValueError("blocks do not match the Hamiltonian's width")
-    sizes = {n for _, n in blocks}
+    blocks = problem.blocks
+    sizes = set(problem.rotamer_counts)
     prep = {
         n: one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for n in sizes
     }
-    selves, pairs = _residue_energies(blocks, h)
+    selves = [problem.self_energies[off : off + n] for off, n in blocks]
+    pairs = {pair: table for pair, table in problem.pair_blocks.items() if table.any()}
     state = MpsState([prep[n] for _, n in blocks], max_bond=max_bond)
     for gamma, beta in layers:
         state._apply_diagonal(
@@ -467,32 +467,6 @@ def run_one_hot_mps(
         for i, (_, n) in enumerate(blocks):
             state.tensors[i] = np.matmul(mixers[n], state.tensors[i])
     return state
-
-
-def _residue_energies(
-    blocks: Sequence[tuple[int, int]], h: IsingHamiltonian
-) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    """``h``'s energy on the one-hot configurations, split by residue.
-
-    Returns per-block tables ``selves[i][a]`` and per-pair tables
-    ``pairs[i, j][a, b]`` (i < j, only pairs that couple) such that the
-    configuration choosing rotamer r_i of every block i has energy
-    sum_i selves[i][r_i] + sum_(i,j) pairs[i, j][r_i, r_j].
-    """
-    # row a: the block's spins when rotamer a is chosen (z = 1 - 2x)
-    spins = [1.0 - 2.0 * np.eye(n) for _, n in blocks]
-    spans = [slice(off, off + n) for off, n in blocks]
-    selves = [
-        np.einsum("ai,ij,aj->a", z, h.couplings[span, span], z) - z @ h.fields[span]
-        for z, span in zip(spins, spans)
-    ]
-    selves[0] = selves[0] + h.constant
-    pairs = {}
-    for i, j in combinations(range(len(blocks)), 2):
-        coupling = h.couplings[spans[i], spans[j]]
-        if coupling.any():
-            pairs[(i, j)] = spins[i] @ coupling @ spins[j].T
-    return selves, pairs
 
 
 def _ring_unitary(n: int, beta: float) -> np.ndarray:

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -90,6 +91,8 @@ class RotamerProblem:
             raise ValueError(
                 f"self_energies has shape {selves.shape}, expected ({sum(counts)},)"
             )
+        if not np.isfinite(selves).all():
+            raise ValueError("self_energies must all be finite")
         selves.setflags(write=False)
         blocks: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), table in self.pair_blocks.items():
@@ -105,6 +108,8 @@ class RotamerProblem:
                     f"pair block ({i}, {j}) has shape {arr.shape}, "
                     f"expected ({counts[i]}, {counts[j]})"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"pair block ({i}, {j}) must be all finite")
             arr.setflags(write=False)
             blocks[(i, j)] = arr
         object.__setattr__(self, "rotamer_counts", counts)
@@ -325,13 +330,15 @@ def random_problem(
 def load_problem(path: str | Path) -> RotamerProblem:
     """Load and validate a problem file (JSON, optionally with a CSV table).
 
-    Raises :class:`ProblemFormatError` for missing self-energy entries,
-    pair entries given in both orientations that disagree beyond 1e-9, and
-    pair entries between non-adjacent residues when
-    ``nearest_neighbor_only`` is declared.
+    Raises :class:`ProblemFormatError` for a missing or malformed field or
+    row, missing self-energy entries, pair entries given in both
+    orientations that disagree beyond 1e-9, and pair entries between
+    non-adjacent residues when ``nearest_neighbor_only`` is declared.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{path.name} must be a JSON object")
     try:
         num_residues = _integer(doc["num_residues"], "num_residues")
         counts_raw = doc["rotamers_per_residue"]
@@ -352,7 +359,7 @@ def load_problem(path: str | Path) -> RotamerProblem:
         )
 
     self_rows = _json_rows(doc, "self_energy", ("residue", "rotamer"))
-    pair_rows = _json_rows(doc, "pair_energy", ("res_i", "rot_i", "res_j", "rot_j"))
+    pair_rows = _json_rows(doc, "pair_energy", _TABLE_KEYS["pair"])
     if "tables" in doc:
         s_rows, p_rows = _read_table_csv(path.parent / doc["tables"])
         self_rows.extend(s_rows)
@@ -360,47 +367,70 @@ def load_problem(path: str | Path) -> RotamerProblem:
     return _assemble(counts, nn_only, self_rows, pair_rows)
 
 
+# the index columns of each kind of CSV table row, and of a JSON pair row
+_TABLE_KEYS = {"self": ("res_i", "rot_i"), "pair": ("res_i", "rot_i", "res_j", "rot_j")}
+
+
 def _json_rows(doc: dict, kind: str, keys: tuple[str, ...]) -> list[tuple]:
-    """Each row of ``doc[kind]`` as its integer ``keys``, then its energy."""
-    return [
-        (*(_integer(r[k], f"{kind} {k}") for k in keys), float(r["energy"]))
-        for r in doc.get(kind, [])
-    ]
+    """Each row of ``doc[kind]`` read by :func:`_row`."""
+    rows = doc.get(kind, [])
+    if not isinstance(rows, list):
+        raise ProblemFormatError(f"{kind} must be a list of objects, not {rows!r}")
+    return [_row(r, keys, kind, f"row {n}") for n, r in enumerate(rows)]
 
 
-def _integer(value: object, field: str) -> int:
-    """``value`` if it is an integer (a bool is not one), else
-    :class:`ProblemFormatError` naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ProblemFormatError(f"{field} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _read_table_csv(
-    path: Path,
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, int, int, float]]]:
-    self_rows: list[tuple[int, int, float]] = []
-    pair_rows: list[tuple[int, int, int, int, float]] = []
+def _read_table_csv(path: Path) -> tuple[list[tuple], list[tuple]]:
+    """The self and pair rows of a CSV table, each cell read as the number
+    it spells, if any, and each row by :func:`_row`."""
+    rows: dict[str, list[tuple]] = {"self": [], "pair": []}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            kind = row["kind"].strip().lower()
-            if kind == "self":
-                self_rows.append(
-                    (int(row["res_i"]), int(row["rot_i"]), float(row["energy"]))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"line {reader.line_num}"
+            kind = (row.get("kind") or "").strip().lower()
+            if kind not in rows:
+                raise ProblemFormatError(
+                    f"unknown table row kind {row.get('kind')!r} in {path.name} {where}"
                 )
-            elif kind == "pair":
-                pair_rows.append(
-                    (
-                        int(row["res_i"]),
-                        int(row["rot_i"]),
-                        int(row["res_j"]),
-                        int(row["rot_j"]),
-                        float(row["energy"]),
-                    )
-                )
-            else:
-                raise ProblemFormatError(f"unknown table row kind {kind!r}")
-    return self_rows, pair_rows
+            cells = {k: _cell(v) for k, v in row.items()}
+            rows[kind].append(_row(cells, _TABLE_KEYS[kind], path.name, where))
+    return rows["self"], rows["pair"]
+
+
+def _cell(text: str | None) -> object:
+    """A CSV cell as the int or float it spells, else unchanged."""
+    for parse in (int, float):
+        with suppress(TypeError, ValueError):
+            return parse(text)
+    return text
+
+
+def _row(row: object, keys: tuple[str, ...], source: str, where: str) -> tuple:
+    """A table row's integer ``keys``, then its finite energy; a missing or
+    malformed field raises :class:`ProblemFormatError` naming ``source``,
+    the field and ``where`` the row is."""
+    if not isinstance(row, Mapping):
+        raise ProblemFormatError(
+            f"{source} must be a list of objects, but {where} is {row!r}"
+        )
+    where = f" in {where}"
+    indices = tuple(_integer(row.get(k), f"{source} {k}", where) for k in keys)
+    energy = row.get("energy")
+    if isinstance(energy, bool) or not (
+        isinstance(energy, numbers.Real) and math.isfinite(energy)
+    ):
+        raise ProblemFormatError(
+            f"{source} energy must be a finite number, not {energy!r}{where}"
+        )
+    return (*indices, float(energy))
+
+
+def _integer(value: object, field: str, where: str = "") -> int:
+    """``value`` if it is an integer (a bool is not one), else
+    :class:`ProblemFormatError` naming ``field`` and ``where``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProblemFormatError(f"{field} must be an integer, not {value!r}{where}")
+    return int(value)
 
 
 def _assemble(

@@ -237,8 +237,7 @@ CRITERION_7_ANGLES = {
 
 
 def residue_chain(problem, params, max_bond: int | None = MAX_BOND) -> MpsState:
-    h = ansatz_hamiltonian(problem, "xy")
-    return run_one_hot_mps(problem.blocks, h, params, max_bond=max_bond)
+    return run_one_hot_mps(problem, params, max_bond=max_bond)
 
 
 class TestResidueChain:
@@ -259,23 +258,22 @@ class TestResidueChain:
         assert (state.two_site_updates, state.swap_updates) == (8, 0)
 
     @pytest.mark.parametrize(
-        "problem",
+        "problem, routed",
         [
-            random_problem(4, (2, 4, 3, 5), seed=11),
-            random_problem(5, 3, seed=12, nearest_neighbor_only=False, decay=0.5),
+            (random_problem(4, (2, 4, 3, 5), seed=11), False),
+            (random_problem(5, 3, seed=12, nearest_neighbor_only=False, decay=0.5), True),
+            # every block past the next residue is all zero, so none is routed
+            (random_problem(5, 3, seed=12, nearest_neighbor_only=False, decay=0.0), False),
         ],
-        ids=["mixed-rotamers", "long-range"],
+        ids=["mixed-rotamers", "long-range", "long-range-zero"],
     )
-    def test_matches_one_hot_state(self, problem):
+    def test_matches_one_hot_state(self, problem, routed):
         state = residue_chain(problem, [0.4, -0.7] * 3)
         want = one_hot_reference(problem, 0.4, -0.7, 3)
         np.testing.assert_allclose(state.amplitudes(), want, rtol=0, atol=1e-9)
         assert state.dims == problem.rotamer_counts
-        if problem.nearest_neighbor_only:
-            assert state.swap_updates == 0
-        else:
-            # couplings past the next residue are routed with swaps
-            assert state.swap_updates > 0
+        # couplings past the next residue are routed with swaps
+        assert (state.swap_updates > 0) == routed
 
     @pytest.mark.parametrize(
         "residues, rotamers", [(3, 3), (5, 4), (5, 5), (5, 7), (4, (2, 4, 3, 5))]
@@ -332,11 +330,8 @@ class TestResidueChain:
 
     def test_validation(self):
         problem = random_problem(2, 3, seed=1)
-        h = ansatz_hamiltonian(problem, "xy")
         with pytest.raises(ValueError, match="2p angles"):
-            run_one_hot_mps(problem.blocks, h, [0.1, 0.2, 0.3])
-        with pytest.raises(ValueError, match="width"):
-            run_one_hot_mps(problem.blocks[:1], h, [0.1, 0.2])
+            run_one_hot_mps(problem, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="nonempty vector"):
             MpsState([[1.0], []])
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             RotamerProblem((2, 2), np.zeros(4), {(1, 0): np.zeros((2, 2))})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_energies(self, bad):
+        with pytest.raises(ValueError, match="self_energies must all be finite"):
+            RotamerProblem((2, 2), [0.0, bad, 0.0, 0.0], {})
+        with pytest.raises(ValueError, match=r"pair block \(0, 1\) must be all finite"):
+            RotamerProblem((2, 2), np.zeros(4), {(0, 1): [[0.0, 0.0], [bad, 0.0]]})
+
     def test_tables_frozen(self):
         p = tiny_problem()
         with pytest.raises(ValueError):
@@ -221,6 +229,10 @@ class TestGenerator:
         assert np.abs(p.pair_blocks[(0, 1)]).max() <= 2.0
 
 
+# marks a field the test deletes
+MISSING = object()
+
+
 class TestFiles:
     def test_json_roundtrip(self, tmp_path):
         p = random_problem(3, (2, 3, 2), seed=5)
@@ -280,6 +292,17 @@ class TestFiles:
             ("pair_energy rot_i", ("pair_energy", 0, "rot_i"), 0.5),
             ("pair_energy res_j", ("pair_energy", 0, "res_j"), "1"),
             ("pair_energy rot_j", ("pair_energy", 0, "rot_j"), 1.0),
+            ("self_energy energy", ("self_energy", 1, "energy"), MISSING),
+            ("pair_energy res_j", ("pair_energy", 0, "res_j"), MISSING),
+            ("self_energy energy", ("self_energy", 1, "energy"), "abc"),
+            ("self_energy energy", ("self_energy", 1, "energy"), ""),
+            ("self_energy energy", ("self_energy", 1, "energy"), True),
+            ("self_energy energy", ("self_energy", 1, "energy"), math.inf),
+            ("self_energy energy", ("self_energy", 1, "energy"), math.nan),
+            ("pair_energy energy", ("pair_energy", 0, "energy"), math.nan),
+            ("bad.json", (), [1, 2]),
+            ("self_energy", ("self_energy",), 5),
+            ("self_energy", ("self_energy", 1), [0, 1, 0.0]),
         ],
         ids=[
             "num_residues-float",
@@ -294,6 +317,17 @@ class TestFiles:
             "pair-rot_i-float",
             "pair-res_j-string",
             "pair-rot_j-float",
+            "self-energy-missing",
+            "pair-res_j-missing",
+            "self-energy-string",
+            "self-energy-empty",
+            "self-energy-bool",
+            "self-energy-inf",
+            "self-energy-nan",
+            "pair-energy-nan",
+            "document-list",
+            "self-not-list",
+            "self-row-not-object",
         ],
     )
     def test_field_of_wrong_type_rejected(self, tmp_path, field, keys, value):
@@ -301,11 +335,17 @@ class TestFiles:
         doc["pair_energy"] = [
             {"res_i": 0, "rot_i": 1, "res_j": 1, "rot_j": 1, "energy": 0.5}
         ]
-        *parents, last = keys
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
+        if keys:
+            *parents, last = keys
+            target = doc
+            for key in parents:
+                target = target[key]
+            if value is MISSING:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            doc = value
         with pytest.raises(ProblemFormatError, match=f"^{field} must be"):
             load_problem(self._write(tmp_path, doc))
 
@@ -380,6 +420,46 @@ class TestFiles:
             "kind,res_i,rot_i,res_j,rot_j,energy\nwobble,0,0,,,1.0\n"
         )
         with pytest.raises(ProblemFormatError, match="unknown table row"):
+            load_problem(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("self,1.0,0,,,0.0", "res_i must be an integer, not 1.0"),
+            ("pair,0,0,1,1e0,0.5", "rot_j must be an integer, not 1.0"),
+            ("self,0,0,,,abc", "energy must be a finite number, not 'abc'"),
+            ("self,0,0,,,", "energy must be a finite number, not ''"),
+            ("self,0,0,,,true", "energy must be a finite number, not 'true'"),
+            ("self,0,0,,,inf", "energy must be a finite number, not inf"),
+            ("pair,0,0,1,1,nan", "energy must be a finite number, not nan"),
+            ("pair,0,0,1", "rot_j must be an integer, not None"),
+        ],
+        ids=[
+            "index-float",
+            "index-exponent",
+            "energy-string",
+            "energy-empty",
+            "energy-bool",
+            "energy-inf",
+            "energy-nan",
+            "short-row",
+        ],
+    )
+    def test_table_row_of_wrong_type_rejected(self, tmp_path, text, message):
+        doc = self._base_doc()
+        doc["tables"] = "rows.csv"
+        (tmp_path / "rows.csv").write_text(
+            f"kind,res_i,rot_i,res_j,rot_j,energy\nself,0,1,,,0.0\n{text}\n"
+        )
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(self._write(tmp_path, doc))
+        assert str(info.value) == f"rows.csv {message} in line 3"
+
+    def test_table_without_kind_column_rejected(self, tmp_path):
+        doc = self._base_doc()
+        doc["tables"] = "rows.csv"
+        (tmp_path / "rows.csv").write_text("res_i,rot_i,res_j,rot_j,energy\n0,0,,,1.0\n")
+        with pytest.raises(ProblemFormatError, match="unknown table row kind None"):
             load_problem(self._write(tmp_path, doc))
 
     @given(problems(max_residues=3, max_rotamers=3))

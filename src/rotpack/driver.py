@@ -8,12 +8,14 @@ angles. Cost is counted in circuits executed: iterations times shots per
 iteration, with the final iteration always charged in full because batches
 execute whole.
 
-Each backend simulates the smallest state the regime reaches. On the
-statevector backend an ``xy`` ansatz runs as the one-hot state and the
-other regimes as the dense one; on the MPS backend an ``xy`` ansatz runs
-on a chain with one site per residue (``mps.run_one_hot_mps``), under the
-instance's own energy tables, and the other regimes as gate circuits on a
-qubit chain. Either ``xy`` route samples the full qubit register.
+Each backend simulates the smallest state the regime reaches, prepared
+once per trajectory so that an iteration computes only what its angles
+change. On the statevector backend an ``xy`` ansatz runs as the one-hot
+state and the other regimes as the dense one; on the MPS backend
+``mps.ansatz_chain`` runs an ``xy`` ansatz with one site per residue,
+under the instance's own energy tables, and the other regimes on a qubit
+chain under their Ising Hamiltonian. Either ``xy`` route samples the full
+qubit register.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -47,11 +49,12 @@ from .circuits import (
     REGIMES,
     angle_pairs,
     ansatz_hamiltonian,
-    assemble_ansatz,
+    assemble_ansatz,  # unused here: perfbench/tracing.py wraps driver.assemble_ansatz
     build_initial_state,
     build_mixer,  # unused here: perfbench/tracing.py wraps driver.build_mixer
 )
-from .mps import MAX_BOND, MpsState, run_circuit_mps, run_one_hot_mps
+# run_circuit_mps is unused here: perfbench/tracing.py wraps driver.run_circuit_mps
+from .mps import MAX_BOND, MpsState, ansatz_chain, run_circuit_mps
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
@@ -311,19 +314,15 @@ def optimize(
                 mix(state, beta)
             return sv.sample_state(state, shots, rng, basis), None
 
-    elif regime == "xy":
-        # one site per residue: the state never leaves the one-hot subspace
-        # and samples as the qubit chain would
-        def run_iteration(params: np.ndarray) -> tuple[np.ndarray, MpsState]:
-            mstate = run_one_hot_mps(problem, params, max_bond=config.max_bond)
-            return mstate.sample_one_hot(shots, rng), mstate
-
     else:
+        # xy runs one site per residue and samples as a qubit chain would
+        evolve = ansatz_chain(problem, h_opt, regime, max_bond=config.max_bond)
+        one_hot = regime == "xy"
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, MpsState]:
-            circuit = assemble_ansatz(regime, blocks, h_opt, params)
-            mstate = run_circuit_mps(circuit, max_bond=config.max_bond)
-            return mstate.sample(shots, rng), mstate
+            mstate = evolve(params)
+            draw = mstate.sample_one_hot if one_hot else mstate.sample
+            return draw(shots, rng), mstate
 
     threshold = stop_threshold(
         None if config.stop_mode is None else config.stop_mode.target_energy

@@ -17,27 +17,23 @@ Diagonal phases commute, so a cost layer walks each lower site of its
 couplings once to its farthest partner and back, applying every coupling
 inside the swap that passes its partner.
 
-``run_circuit_mps`` runs a gate circuit on a qubit chain. It hands each
-run of consecutive ``rz``/``rzz`` gates (a cost layer) to
-``MpsState.apply_diagonal_run`` and applies every other gate in circuit
-order through ``MpsState.apply_gate``, which routes a two-qubit gate on its
-own: its higher qubit swapped next to the lower one and back. Either way
-every qubit ends at its home site, and each split leaves the orthogonality
-center on the side the route moves toward, so a route pays no QR shifts
-between its steps. The pipeline's ``penalty`` and ``baseline`` circuits
-give ``apply_gate`` one-qubit gates only; its two-qubit routing serves
-circuits built elsewhere, such as the tests' ``xy`` oracle.
-
-``run_one_hot_mps`` runs the ``xy`` ansatz on a residue chain, whose
-evolution never leaves the one-hot subspace: site i holds the weight-one
-states of residue i's block of qubits. Its cost layers read the
-instance's own energy tables: state preparation, the self energies and the
-ring mixer are one-site operations; each nonzero pair block is one
-diagonal two-site phase. A
-nearest-neighbor instance thus takes R - 1 two-site updates per cost layer
-and no swaps, where the qubit chain routes every ring gate and coupling.
+``ansatz_chain`` prepares a regime's ansatz once per trajectory and runs
+it from the energy tables: each layer is one diagonal walk, then one
+unitary per site. ``baseline`` and ``penalty`` run on a qubit chain under
+their Ising Hamiltonian, with RX(2 beta) on every site. ``xy`` runs on a
+residue chain, whose evolution never leaves the one-hot subspace: site i
+holds the weight-one states of residue i's block of qubits, and the layer
+reads the instance's own energy tables, so a nearest-neighbor instance
+takes R - 1 two-site updates per cost layer and no swaps.
 ``MpsState.sample_one_hot`` draws from it with the qubit sampler's random
 stream (Vidal, quant-ph/0310089; Hadfield et al., arXiv:1709.03489).
+
+``run_circuit_mps`` is the oracle: it runs any gate circuit on a qubit
+chain through ``MpsState.apply_gate``, gate by gate in circuit order, a
+two-qubit gate routed on its own (its higher qubit swapped next to the
+lower one and back). Every route leaves each qubit at its home site, and
+each split leaves the orthogonality center on the side the route moves
+toward, so a route pays no QR shifts between its steps.
 """
 
 from __future__ import annotations
@@ -45,12 +41,11 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
-from itertools import groupby
 
 import numpy as np
 
 from .circuits import (
-    DIAGONAL_KINDS,
+    REGIMES,
     Circuit,
     Gate,
     angle_pairs,
@@ -60,9 +55,10 @@ from .circuits import (
     pair_matrix,
 )
 from .problem import RotamerProblem
+from .qubo import IsingHamiltonian
 from .statevector import one_hot_state
 
-__all__ = ["MpsState", "run_circuit_mps", "run_one_hot_mps"]
+__all__ = ["MpsState", "ansatz_chain", "run_circuit_mps"]
 
 # a split adding less than this relative weight is round-off, not truncation
 _EPS = np.finfo(float).eps
@@ -175,29 +171,6 @@ class MpsState:
         self._apply_adjacent(lo, matrix)
         for site in range(lo + 1, hi):
             self._apply_adjacent(site, swap=True)
-
-    def apply_diagonal_run(self, gates: Sequence[Gate]) -> None:
-        """Apply commuting ``rz``/``rzz`` gates, routing each lower qubit once.
-
-        ``rz`` phases multiply into their site tensors in place; the
-        ``rzz`` couplings go through :meth:`_apply_diagonal`'s walks.
-        Couplings repeated on one pair are multiplied into one.
-        """
-        phases: dict[int, np.ndarray] = {}
-        couplings: dict[tuple[int, int], np.ndarray] = {}
-        for gate in gates:
-            if gate.kind not in DIAGONAL_KINDS:
-                raise ValueError(f"{gate.kind} gate is not diagonal")
-            if any(q >= self.num_sites for q in gate.qubits):
-                raise IndexError(f"gate {gate} out of range")
-            diag = gate_matrix(gate).diagonal()
-            if len(gate.qubits) == 1:
-                table, key = phases, gate.qubits[0]
-            else:
-                # an rzz phase is symmetric in its two qubits
-                table, key = couplings, tuple(sorted(gate.qubits))
-            table[key] = table[key] * diag if key in table else diag
-        self._apply_diagonal(phases, couplings)
 
     def _apply_diagonal(
         self,
@@ -413,69 +386,82 @@ def run_circuit_mps(
     max_bond: int | None = MAX_BOND,
     threshold: float = TRUNCATION_THRESHOLD,
 ) -> MpsState:
-    """Simulate a circuit from |0...0> as a qubit-chain MPS.
+    """Simulate a circuit from |0...0> on a qubit chain, gate by gate: the oracle.
 
-    Each maximal run of consecutive ``rz``/``rzz`` gates goes to
-    :meth:`MpsState.apply_diagonal_run`; every other gate goes to
-    :meth:`MpsState.apply_gate` in circuit order.
+    Every gate goes through :meth:`MpsState.apply_gate` in circuit order, a
+    two-qubit gate routed on its own. The pipeline runs :func:`ansatz_chain`
+    instead; the tests check that chain against this one.
     """
     state = MpsState(circuit.num_qubits, max_bond=max_bond, threshold=threshold)
-    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in DIAGONAL_KINDS):
-        if diagonal:
-            state.apply_diagonal_run(list(run))
-        else:
-            for gate in run:
-                state.apply_gate(gate)
+    for gate in circuit.gates:
+        state.apply_gate(gate)
     if circuit.phase != 0.0:
         state.scale(np.exp(1j * circuit.phase))
     return state
 
 
-def run_one_hot_mps(
+def ansatz_chain(
     problem: RotamerProblem,
-    params: Sequence[float],
+    h: IsingHamiltonian,
+    regime: str,
     *,
     max_bond: int | None = MAX_BOND,
-) -> MpsState:
-    """The ``xy`` ansatz of ``circuits.assemble_ansatz`` on a residue chain.
+) -> Callable[[Sequence[float]], MpsState]:
+    """The regime's ansatz on an MPS, prepared once.
 
-    Site i holds the weight-one states of block i, one per rotamer. It
-    starts as the block's part of the ``xy`` state preparation. There the
-    bare Ising energy is the instance's, so each cost layer multiplies in
-    exp(-i * gamma * E) from ``problem``'s tables: residue i's self energies
-    as one phase on site i, each pair block that is not all zero as one
-    diagonal two-site phase, routed like :meth:`MpsState.apply_diagonal_run`.
-    Each mixer is one unitary per site: the block's ``xy`` gates of
-    ``build_mixer`` multiplied in their order, which keeps the Trotter
-    order. Sample it with :meth:`MpsState.sample_one_hot`.
+    Returns ``evolve(params)``: ``circuits.assemble_ansatz``'s ansatz at the
+    2p angles, up to its global phase. Each layer multiplies in
+    exp(-i * gamma * E) through :meth:`MpsState._apply_diagonal`, then
+    applies one mixer unitary per site. ``baseline``/``penalty`` run on
+    qubit sites under ``h``: field h_q gives site q the energies (-h_q, h_q),
+    coupling J_ij the pair J_ij * z_i z_j, and the mixer is RX(2 beta).
+    ``xy`` runs on residue sites, each holding the weight-one states of its
+    block, from the block's part of the state preparation. Its energies are
+    ``problem``'s tables (the bare Ising energy of a one-hot state), and
+    its mixer is the block's ``build_mixer`` gates multiplied in their
+    order, keeping the Trotter order. Sample qubit sites with
+    :meth:`MpsState.sample` and residue sites with
+    :meth:`MpsState.sample_one_hot`.
     """
-    layers = angle_pairs(params)
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
     blocks = problem.blocks
-    sizes = set(problem.rotamer_counts)
-    prep = {
-        n: one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for n in sizes
-    }
-    selves = [problem.self_energies[off : off + n] for off, n in blocks]
-    pairs = {pair: table for pair, table in problem.pair_blocks.items() if table.any()}
-    state = MpsState([prep[n] for _, n in blocks], max_bond=max_bond)
-    for gamma, beta in layers:
-        state._apply_diagonal(
-            {i: np.exp(-1j * gamma * e) for i, e in enumerate(selves)},
-            {pair: np.exp(-1j * gamma * e) for pair, e in pairs.items()},
-        )
-        mixers = {n: _ring_unitary(n, beta) for n in sizes}
-        for i, (_, n) in enumerate(blocks):
-            state.tensors[i] = np.matmul(mixers[n], state.tensors[i])
-    return state
+    if regime == "xy":
+        starts = [one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for _, n in blocks]
+        phases = {i: problem.self_energies[off : off + n] for i, (off, n) in enumerate(blocks)}
+        couplings = {pair: e for pair, e in problem.pair_blocks.items() if e.any()}
+        rings = {n: build_mixer("xy", [(0, n)], 0.0).gates for n in set(problem.rotamer_counts)}
 
+        def mixers(beta: float) -> list[np.ndarray]:
+            # an xy gate rotates span{|01>, |10>}, the same way for either qubit order
+            rotation = gate_matrix(Gate("xy", (0, 1), (beta,)))[1:3, 1:3]
+            unitaries = {n: np.eye(n, dtype=complex) for n in rings}
+            for n, ring in rings.items():
+                for gate in ring:
+                    rows = list(gate.qubits)
+                    unitaries[n][rows] = rotation @ unitaries[n][rows]
+            return [unitaries[n] for _, n in blocks]
 
-def _ring_unitary(n: int, beta: float) -> np.ndarray:
-    """The ``xy`` gates ``build_mixer`` places on a block of n qubits,
-    multiplied in their order, on the block's n weight-one states."""
-    # an xy gate rotates span{|01>, |10>}, the same way for either qubit order
-    rotation = gate_matrix(Gate("xy", (0, 1), (beta,)))[1:3, 1:3]
-    out = np.eye(n, dtype=complex)
-    for gate in build_mixer("xy", [(0, n)], beta).gates:
-        rows = list(gate.qubits)
-        out[rows] = rotation @ out[rows]
-    return out
+    else:
+        first = {off for off, _ in blocks}
+        starts = [(0.0, 1.0) if q in first else (1.0, 0.0) for q in range(h.num_spins)]
+        # spin z = 1 - 2 * bit; the energy is sum J z z - sum h z
+        phases = {q: np.array([-f, f]) for q, f in enumerate(h.fields) if f != 0.0}
+        zz = np.array([1.0, -1.0, -1.0, 1.0])
+        couplings = {(i, j): h.couplings[i, j] * zz for i, j in np.argwhere(h.couplings).tolist()}
+
+        def mixers(beta: float) -> list[np.ndarray]:
+            return [gate_matrix(Gate("rx", (0,), (2.0 * beta,)))] * len(starts)
+
+    def evolve(params: Sequence[float]) -> MpsState:
+        state = MpsState(starts, max_bond=max_bond)
+        for gamma, beta in angle_pairs(params):
+            state._apply_diagonal(
+                {i: np.exp(-1j * gamma * e) for i, e in phases.items()},
+                {pair: np.exp(-1j * gamma * e) for pair, e in couplings.items()},
+            )
+            for i, unitary in enumerate(mixers(beta)):
+                state.tensors[i] = np.matmul(unitary, state.tensors[i])
+        return state
+
+    return evolve

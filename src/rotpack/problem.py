@@ -336,7 +336,10 @@ def load_problem(path: str | Path) -> RotamerProblem:
     non-adjacent residues when ``nearest_neighbor_only`` is declared.
     """
     path = Path(path)
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path.name} must be a JSON object")
     try:
@@ -361,7 +364,10 @@ def load_problem(path: str | Path) -> RotamerProblem:
     self_rows = _json_rows(doc, "self_energy", ("residue", "rotamer"))
     pair_rows = _json_rows(doc, "pair_energy", _TABLE_KEYS["pair"])
     if "tables" in doc:
-        s_rows, p_rows = _read_table_csv(path.parent / doc["tables"])
+        tables = doc["tables"]
+        if not isinstance(tables, str):
+            raise ProblemFormatError(f"{path.name} tables must be a file name, not {tables!r}")
+        s_rows, p_rows = _read_table_csv(path.parent / tables)
         self_rows.extend(s_rows)
         pair_rows.extend(p_rows)
     return _assemble(counts, nn_only, self_rows, pair_rows)

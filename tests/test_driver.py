@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rotpack import circuits
 from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import SaConfig, brute_force, discrete_anneal, dual_anneal
 from rotpack.driver import (
@@ -352,13 +354,7 @@ class TestOptimize:
         assert not rec.converged
 
     @pytest.mark.parametrize("regime", ["xy", "penalty"])
-    def test_mps_xy_runs_on_residue_sites(self, regime, monkeypatch):
-        # xy never reaches the qubit chain; the other regimes never leave it
-        def refuse(*args, **kwargs):
-            raise AssertionError("wrong chain")
-
-        other = "run_circuit_mps" if regime == "xy" else "run_one_hot_mps"
-        monkeypatch.setattr(f"rotpack.driver.{other}", refuse)
+    def test_mps_xy_runs_on_residue_sites(self, regime):
         problem = random_problem(3, 3, seed=2)
         cfg = QaoaConfig(regime=regime, backend="mps", max_iterations=2, seed=4)
         rec = optimize(problem, cfg)
@@ -367,23 +363,51 @@ class TestOptimize:
         # chain's middle cut splits a block
         assert (rec.max_bond_reached <= 3) == (regime == "xy")
 
-    @pytest.mark.parametrize("regime", ["penalty", "baseline"])
-    def test_qubit_chain_gets_one_qubit_gates_only(self, regime, monkeypatch):
-        # every two-qubit gate of these circuits is in a diagonal run, so
-        # run_circuit_mps may apply the rest in circuit order
-        applied = []
-        apply_gate = MpsState.apply_gate
+    @pytest.mark.parametrize("regime", ["penalty", "baseline", "xy"])
+    def test_mps_trajectory_applies_no_gates(self, regime, monkeypatch):
+        # every regime runs from its energy tables; the per-gate oracle and
+        # its gate routing stay out of the pipeline
+        def refuse(*args, **kwargs):
+            raise AssertionError("gate applied")
 
-        def recorded(self, gate):
-            applied.append(gate)
-            apply_gate(self, gate)
-
-        monkeypatch.setattr(MpsState, "apply_gate", recorded)
+        monkeypatch.setattr(MpsState, "apply_gate", refuse)
+        monkeypatch.setattr("rotpack.driver.run_circuit_mps", refuse)
         problem = random_problem(3, 3, seed=2)
         cfg = QaoaConfig(regime=regime, backend="mps", max_iterations=2, seed=4)
         assert optimize(problem, cfg).iterations_used == 2
-        assert applied
-        assert {len(g.qubits) for g in applied} == {1}
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    @pytest.mark.parametrize("regime", ["baseline", "penalty", "xy"])
+    def test_circuits_are_built_once_per_trajectory(self, regime, backend, monkeypatch):
+        # what does not depend on the angles is prepared before the first
+        # iteration, so more iterations build no more circuits
+        calls = Counter()
+        for name in ("assemble_ansatz", "build_mixer", "build_initial_state"):
+            original = getattr(circuits, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("rotpack") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+
+        def per_trajectory(iterations):
+            calls.clear()
+            cfg = QaoaConfig(
+                regime=regime,
+                backend=backend,
+                shots_per_iteration=20,
+                max_iterations=iterations,
+                seed=4,
+            )
+            assert optimize(random_problem(3, 3, seed=2), cfg).iterations_used == iterations
+            return dict(calls)
+
+        assert per_trajectory(2) == per_trajectory(5)
 
     def test_statevector_runs_leave_mps_fields_empty(self):
         problem = random_problem(1, 2, seed=0)

@@ -1,7 +1,6 @@
 """Bonded tensor-chain simulator against the dense reference."""
 
 import math
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -13,13 +12,14 @@ from rotpack.circuits import (
     Circuit,
     Gate,
     ansatz_hamiltonian,
+    assemble_ansatz,
     build_initial_state,
     build_mixer,
 )
 from rotpack.driver import init_params
-from rotpack.mps import MAX_BOND, MpsState, run_circuit_mps, run_one_hot_mps
+from rotpack.mps import MAX_BOND, MpsState, ansatz_chain, run_circuit_mps
 from rotpack.problem import encode, random_problem, valid_mask
-from rotpack.qubo import all_bitstring_energies
+from rotpack.qubo import all_bitstring_energies, default_penalty
 from rotpack.statevector import (
     apply_one_hot_gate,
     one_hot_basis,
@@ -89,35 +89,18 @@ def mixed_circuits(draw):
     return Circuit(num_qubits=n, gates=tuple(gates))
 
 
-def per_gate(circuit: Circuit, max_bond: int | None = 64) -> MpsState:
-    """Reference: every gate through ``apply_gate``, routed on its own."""
-    state = MpsState(circuit.num_qubits, max_bond=max_bond)
-    for gate in circuit.gates:
-        state.apply_gate(gate)
-    return state
+def expected_updates(h, p: int) -> tuple[int, int]:
+    """(two-site updates, swap updates) of the qubit chain's p cost layers
+    under ``h``, in closed form.
 
-
-def expected_updates(circuit: Circuit) -> tuple[int, int]:
-    """(two-site updates, swap updates) of ``run_circuit_mps`` in closed form.
-
-    A diagonal run costs 2D - 1 updates, 2(D - 1) of them swaps, for each
-    lower qubit of its couplings with its farthest partner at distance D;
-    every other two-site gate at distance d costs 2(d - 1) swaps plus one.
+    Each lower qubit of the couplings walks to its farthest partner, at
+    distance D, and back: 2D - 1 updates, 2(D - 1) of them swaps.
     """
-    updates = swaps = 0
-    for diagonal, run in groupby(circuit.gates, key=lambda g: g.kind in ("rz", "rzz")):
-        run = [g for g in run if g.is_two_qubit]
-        if diagonal:
-            farthest: dict[int, int] = {}
-            for g in run:
-                lo, hi = sorted(g.qubits)
-                farthest[lo] = max(farthest.get(lo, 0), hi - lo)
-            distances = list(farthest.values())
-        else:
-            distances = [abs(g.qubits[0] - g.qubits[1]) for g in run]
-        updates += sum(2 * d - 1 for d in distances)
-        swaps += sum(2 * (d - 1) for d in distances)
-    return updates, swaps
+    farthest: dict[int, int] = {}
+    for lo, hi in zip(*np.nonzero(h.couplings)):
+        farthest[lo] = max(farthest.get(lo, 0), hi - lo)
+    distances = np.array(list(farthest.values()))
+    return p * int((2 * distances - 1).sum()), p * int((2 * (distances - 1)).sum())
 
 
 class TestAgainstDense:
@@ -169,8 +152,6 @@ class TestAgainstDense:
         circ = Circuit(num_qubits=5, gates=tuple(gates))
         state = run_circuit_mps(circ, max_bond=None)
         np.testing.assert_allclose(state.amplitudes(), run_circuit(circ), atol=1e-10)
-        # lower qubits 0 (farthest at 3) and 1 (farthest at 4)
-        assert (state.two_site_updates, state.swap_updates) == (5 + 5, 4 + 4)
 
     def test_ghz_chain(self):
         circ = ghz_circuit(6)
@@ -237,7 +218,15 @@ CRITERION_7_ANGLES = {
 
 
 def residue_chain(problem, params, max_bond: int | None = MAX_BOND) -> MpsState:
-    return run_one_hot_mps(problem, params, max_bond=max_bond)
+    h = ansatz_hamiltonian(problem, "xy")
+    return ansatz_chain(problem, h, "xy", max_bond=max_bond)(params)
+
+
+def qubit_chain(
+    problem, regime, params, max_bond: int | None = MAX_BOND, penalty=None
+) -> MpsState:
+    h = ansatz_hamiltonian(problem, regime, penalty)
+    return ansatz_chain(problem, h, regime, max_bond=max_bond)(params)
 
 
 class TestResidueChain:
@@ -331,27 +320,61 @@ class TestResidueChain:
     def test_validation(self):
         problem = random_problem(2, 3, seed=1)
         with pytest.raises(ValueError, match="2p angles"):
-            run_one_hot_mps(problem, [0.1, 0.2, 0.3])
+            residue_chain(problem, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="unknown regime"):
+            ansatz_chain(problem, ansatz_hamiltonian(problem, "xy"), "ring")
         with pytest.raises(ValueError, match="nonempty vector"):
             MpsState([[1.0], []])
 
 
-class TestRouting:
-    def test_diagonal_run_rejects_other_gates(self):
-        with pytest.raises(ValueError, match="not diagonal"):
-            MpsState(3).apply_diagonal_run([Gate("rzz", (0, 2), (0.1,)), Gate("cx", (0, 1))])
-        with pytest.raises(IndexError, match="out of range"):
-            MpsState(3).apply_diagonal_run([Gate("rzz", (0, 3), (0.1,))])
+# instances the qubit chain is checked on: nearest neighbors only, mixed
+# rotamer counts, and couplings past the next residue
+QUBIT_CHAIN_PROBLEMS = {
+    "nearest-neighbor": random_problem(3, 3, seed=4),
+    "mixed-rotamers": random_problem(4, (2, 4, 3, 2), seed=11),
+    "long-range": random_problem(4, 3, seed=12, nearest_neighbor_only=False, decay=0.5),
+}
 
+
+class TestQubitChain:
+    """The baseline and penalty ansatz on qubit sites against the dense
+    statevector."""
+
+    @pytest.mark.parametrize(
+        "regime, weight",
+        [("baseline", None), ("penalty", None), ("penalty", "double")],
+        ids=["baseline", "penalty", "penalty-weight"],
+    )
+    @pytest.mark.parametrize("name", sorted(QUBIT_CHAIN_PROBLEMS))
+    def test_matches_dense_statevector(self, name, regime, weight):
+        problem = QUBIT_CHAIN_PROBLEMS[name]
+        if weight == "double":
+            weight = 2.0 * default_penalty(problem)
+        params = [0.4, -0.7, -0.3, 0.5]
+        h = ansatz_hamiltonian(problem, regime, weight)
+        dense = run_circuit(assemble_ansatz(regime, problem.blocks, h, params))
+        state = qubit_chain(problem, regime, params, max_bond=None, penalty=weight)
+        np.testing.assert_allclose(
+            np.abs(state.amplitudes()) ** 2, np.abs(dense) ** 2, rtol=0, atol=1e-10
+        )
+        assert state.dims == (2,) * problem.num_qubits
+        assert state.discarded_weight == 0.0
+        assert state.norm() == pytest.approx(1.0)
+        capped = qubit_chain(problem, regime, params, max_bond=2, penalty=weight)
+        assert capped.max_bond_reached == 2
+        assert capped.discarded_weight > 0.0
+
+
+class TestRouting:
     def test_update_counts_match_closed_form(self):
         problem = random_problem(5, 5, seed=3)
-        circ = ansatz_circuit(problem, "xy", [0.3] * 4)
-        state = run_circuit_mps(circ)
-        assert (state.two_site_updates, state.swap_updates) == expected_updates(circ)
+        for regime in ("baseline", "penalty"):
+            state = qubit_chain(problem, regime, [0.3] * 4)
+            h = ansatz_hamiltonian(problem, regime)
+            assert (state.two_site_updates, state.swap_updates) == expected_updates(h, 2)
         # routing every two-site gate on its own costs 2(d - 1) + 1 updates
-        old = per_gate(circ)
-        assert old.two_site_updates == 1930
-        assert state.two_site_updates == 650
+        oracle = run_circuit_mps(ansatz_circuit(problem, "xy", [0.3] * 4))
+        assert oracle.two_site_updates == 1930
 
     @pytest.mark.parametrize("regime,residues,rotamers", [
         ("xy", 5, 4), ("xy", 5, 5), ("penalty", 5, 4),
@@ -359,15 +382,16 @@ class TestRouting:
     def test_matches_per_gate_routing_at_benchmark_shapes(self, regime, residues, rotamers):
         problem = random_problem(residues, rotamers, seed=7)
         params = init_params(2, np.random.default_rng(rotamers))
-        circ = ansatz_circuit(problem, regime, params)
-        state = run_circuit_mps(circ, max_bond=64)
-        ref = per_gate(circ, max_bond=64)
+        h = ansatz_hamiltonian(problem, regime)
+        state = ansatz_chain(problem, h, regime, max_bond=64)(params)
+        draw = state.sample_one_hot if regime == "xy" else state.sample
+        ref = run_circuit_mps(ansatz_circuit(problem, regime, params), max_bond=64)
         np.testing.assert_array_equal(
-            state.sample(200, np.random.default_rng(1)),
+            draw(200, np.random.default_rng(1)),
             ref.sample(200, np.random.default_rng(1)),
         )
-        # the walk cuts the chain in other places than per-gate routing does,
-        # so its peak bond may be lower, never higher
+        # the walk and the residue sites cut the chain in other places than
+        # per-gate routing does, so the peak bond may be lower, never higher
         assert state.max_bond_reached <= ref.max_bond_reached
         assert state.discarded_weight <= ref.discarded_weight
         assert state.two_site_updates < ref.two_site_updates

@@ -462,6 +462,21 @@ class TestFiles:
         with pytest.raises(ProblemFormatError, match="unknown table row kind None"):
             load_problem(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("tables", [5, None, ["rows.csv"]])
+    def test_tables_must_name_a_file(self, tmp_path, tables):
+        doc = self._base_doc()
+        doc["tables"] = tables
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(self._write(tmp_path, doc))
+        assert str(info.value) == f"bad.json tables must be a file name, not {tables!r}"
+
+    @pytest.mark.parametrize("cut", [0, 1, 40, -1])
+    def test_truncated_json_rejected(self, tmp_path, cut):
+        path = self._write(tmp_path, self._base_doc())
+        path.write_text(path.read_text()[:cut])
+        with pytest.raises(ProblemFormatError, match=r"^bad\.json is not valid JSON: "):
+            load_problem(path)
+
     @given(problems(max_residues=3, max_rotamers=3))
     def test_save_load_identity(self, tmp_path_factory, problem):
         path = tmp_path_factory.mktemp("files") / "p.json"

@@ -111,8 +111,9 @@ def estimate_crossover(
     to infinity. Identical lines are flagged degenerate, and a classical
     slope at or below the quantum one means no finite crossover exists.
     """
-    if cpu_rate_hz <= 0 or qpu_rate_hz <= 0:
-        raise ValueError("device rates must be positive")
+    for name, rate in (("cpu_rate_hz", cpu_rate_hz), ("qpu_rate_hz", qpu_rate_hz)):
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"device rates must be positive and finite: {name} is {rate!r}")
     b_q = quantum.intercept - math.log(qpu_rate_hz)
     b_c = classical.intercept - math.log(cpu_rate_hz)
     a_q, a_c = quantum.slope, classical.slope

@@ -252,7 +252,8 @@ def write_reports(
     qpu_khz: float | None = None,
 ) -> list[Path]:
     """Write scaling.csv, convergence_tables.csv, fits.json, and, when both
-    device rates are given, crossover.json. Returns the written paths.
+    device rates are given, crossover.json; one rate without the other is
+    refused. Returns the written paths.
 
     Each series is fitted once. The crossover, between the series
     ``crossover_report`` picks by default, is estimated from those fits
@@ -260,10 +261,10 @@ def write_reports(
     cannot be estimated raises ValueError before any file is written, and
     each file is written whole or not at all.
     """
+    if (cpu_ghz is None) != (qpu_khz is None):
+        raise ValueError("a crossover needs both cpu_ghz and qpu_khz, or neither")
     fits = fit_series(summaries, fit_start_m=fit_start_m)
-    crossover = None
-    if cpu_ghz is not None and qpu_khz is not None:
-        crossover = _crossover(fits, cpu_ghz, qpu_khz)
+    crossover = None if cpu_ghz is None else _crossover(fits, cpu_ghz, qpu_khz)
     reports = Path(out_dir) / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     written = [

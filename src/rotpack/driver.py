@@ -11,11 +11,11 @@ execute whole.
 Each backend simulates the smallest state the regime reaches, prepared
 once per trajectory so that an iteration computes only what its angles
 change. On the statevector backend an ``xy`` ansatz runs as the one-hot
-state and the other regimes as the dense one; on the MPS backend
-``mps.ansatz_chain`` runs an ``xy`` ansatz with one site per residue,
-under the instance's own energy tables, and the other regimes on a qubit
-chain under their Ising Hamiltonian. Either ``xy`` route samples the full
-qubit register.
+state and the other regimes as the dense one. On the MPS backend
+``mps.ansatz_chain`` runs every regime from the tables of its Ising
+Hamiltonian, on sites of bit patterns: one site per residue for ``xy``,
+runs of at most four qubits of one block for the others. Every route
+samples the full qubit register.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -315,14 +315,11 @@ def optimize(
             return sv.sample_state(state, shots, rng, basis), None
 
     else:
-        # xy runs one site per residue and samples as a qubit chain would
         evolve = ansatz_chain(problem, h_opt, regime, max_bond=config.max_bond)
-        one_hot = regime == "xy"
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, MpsState]:
             mstate = evolve(params)
-            draw = mstate.sample_one_hot if one_hot else mstate.sample
-            return draw(shots, rng), mstate
+            return mstate.sample(shots, rng), mstate
 
     threshold = stop_threshold(
         None if config.stop_mode is None else config.stop_mode.target_energy

@@ -1,43 +1,39 @@
 """Matrix-product-state simulation with bond truncation.
 
 The state is a chain of rank-3 tensors (left bond, physical, right bond),
-kept in mixed-canonical form around a moving orthogonality center. Each
-site has its own physical dimension: a qubit chain has dimension 2 at
-every site, site q holding qubit q; a residue chain has one site per
-residue, holding its rotamer. Two-site gates contract the two neighboring
-tensors, apply the unitary (only its diagonal for a cost-layer coupling),
-and split back with an SVD truncated to the bond cap and singular-value
+kept in mixed-canonical form around a moving orthogonality center. A site
+holds a run of consecutive qubits and one bit pattern of them per
+physical index. Two-site gates contract the two neighboring tensors,
+apply the unitary (only its diagonal for a cost-layer coupling), and
+split back with an SVD truncated to the bond cap and singular-value
 threshold; the relative weight thrown away accumulates in
 ``discarded_weight``.
 
 Sites that are not neighbors are brought together with SWAP updates that
-cost simulator time but never appear in circuit depth accounting; a swap
-update exchanges the two sites after applying whatever gate it carries.
-Diagonal phases commute, so a cost layer walks each lower site of its
-couplings once to its farthest partner and back, applying every coupling
-inside the swap that passes its partner.
+cost simulator time but never appear in circuit depth accounting. Diagonal
+phases commute, so a cost layer walks each lower site of its couplings
+once to its farthest partner and back, applying every coupling inside the
+swap that passes its partner.
 
-``ansatz_chain`` prepares a regime's ansatz once per trajectory and runs
-it from the energy tables: each layer is one diagonal walk, then one
-unitary per site. ``baseline`` and ``penalty`` run on a qubit chain under
-their Ising Hamiltonian, with RX(2 beta) on every site. ``xy`` runs on a
-residue chain, whose evolution never leaves the one-hot subspace: site i
-holds the weight-one states of residue i's block of qubits, and the layer
-reads the instance's own energy tables, so a nearest-neighbor instance
-takes R - 1 two-site updates per cost layer and no swaps.
-``MpsState.sample_one_hot`` draws from it with the qubit sampler's random
-stream (Vidal, quant-ph/0310089; Hadfield et al., arXiv:1709.03489).
+``ansatz_chain`` runs every regime from the Ising energies of its sites'
+patterns: ``xy`` on one site per residue holding its one-hot patterns
+(Hadfield et al., arXiv:1709.03489), the others on runs of at most
+``SITE_QUBITS`` qubits holding all of theirs (Schollwoeck,
+arXiv:1008.3477). ``MpsState.sample`` draws any grouping with the law and
+stream of a chain of qubit sites (Vidal, quant-ph/0310089).
 
-``run_circuit_mps`` is the oracle: it runs any gate circuit on a qubit
-chain through ``MpsState.apply_gate``, gate by gate in circuit order, a
-two-qubit gate routed on its own (its higher qubit swapped next to the
-lower one and back). Every route leaves each qubit at its home site, and
-each split leaves the orthogonality center on the side the route moves
-toward, so a route pays no QR shifts between its steps.
+``run_circuit_mps`` is the oracle: it runs any gate circuit on a chain of
+qubit sites through ``MpsState.apply_gate``, gate by gate, a two-qubit
+gate routed on its own (its higher qubit swapped next to the lower one
+and back). Every route leaves each qubit at its home site, and each split
+leaves the orthogonality center on the side the route moves toward, so a
+route pays no QR shifts between its steps.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
@@ -67,15 +63,21 @@ _EPS = np.finfo(float).eps
 MAX_BOND = 64
 TRUNCATION_THRESHOLD = 1e-10
 
+SITE_QUBITS = 4  # the most qubits of one block a transverse-field site holds
+
 
 class MpsState:
-    """Mutable MPS, one physical dimension per site, starting as a product state.
+    """Mutable MPS of sites holding bit patterns, starting as a product state.
 
     Parameters
     ----------
     sites:
         An integer n for a chain of n qubits in |0...0>, or one starting
         vector per site, whose length is that site's physical dimension.
+    patterns:
+        Per site, one distinct row of 0/1 bits per physical index: the
+        values of the site's qubits, which follow the previous site's.
+        None makes every site one qubit, holding (0) and (1).
     max_bond:
         Bond-dimension cap (None leaves bonds unbounded).
     threshold:
@@ -91,6 +93,7 @@ class MpsState:
         self,
         sites: int | Sequence[Sequence[complex]],
         *,
+        patterns: Sequence[Sequence[Sequence[int]]] | None = None,
         max_bond: int | None = MAX_BOND,
         threshold: float = TRUNCATION_THRESHOLD,
     ) -> None:
@@ -103,6 +106,17 @@ class MpsState:
             raise ValueError("each site needs a nonempty vector")
         if max_bond is not None and max_bond < 1:
             raise ValueError("max_bond must be positive")
+        if patterns is None:
+            patterns = [[[0], [1]]] * len(vectors)
+        patterns = [np.asarray(p) for p in patterns]
+        if len(patterns) != len(vectors) or any(
+            p.ndim != 2 or len(p) != v.size or not ((p == 0) | (p == 1)).all()
+            or len({row.tobytes() for row in p}) < len(p)
+            for p, v in zip(patterns, vectors)
+        ):
+            raise ValueError("each site needs one distinct row of 0/1 bits per dimension")
+        self.patterns = [p.astype(np.uint8) for p in patterns]
+        self.num_qubits = sum(p.shape[1] for p in self.patterns)
         self.num_sites = len(vectors)
         self.max_bond = max_bond
         self.threshold = float(threshold)
@@ -154,9 +168,13 @@ class MpsState:
     # -- gate application --------------------------------------------------
 
     def apply_gate(self, gate: Gate) -> None:
-        """Apply a qubit gate; a two-qubit one is routed on its own."""
+        """Apply a gate to a chain of qubit sites; a two-qubit one is routed
+        on its own."""
         if any(q >= self.num_sites for q in gate.qubits):
             raise IndexError(f"gate {gate} out of range")
+        # qubit q is site q only on a chain of sites each holding (0), (1)
+        if self.num_qubits != self.num_sites or any(self.patterns[q][0, 0] for q in gate.qubits):
+            raise ValueError(f"gate {gate} needs sites holding (0), (1), one qubit each")
         if len(gate.qubits) == 1:
             q = gate.qubits[0]
             self.tensors[q] = np.matmul(gate_matrix(gate), self.tensors[q])
@@ -174,13 +192,15 @@ class MpsState:
 
     def _apply_diagonal(
         self,
-        phases: Mapping[int, np.ndarray],
+        gamma: float,
+        energies: Mapping[int, np.ndarray],
         couplings: Mapping[tuple[int, int], np.ndarray],
     ) -> None:
-        """Multiply in diagonal phases: one vector per site in ``phases``,
-        one table per site pair (lo, hi), lo < hi, in ``couplings``.
+        """Multiply in exp(-i * gamma * E), E summed from one vector per site
+        in ``energies`` and one table per site pair (lo, hi), lo < hi, in
+        ``couplings``.
 
-        A pair's table holds one phase per (index of lo, index of hi), flat
+        A pair's table holds one energy per (index of lo, index of hi), flat
         with lo's index major or shaped (d_lo, d_hi). Each lower site, in
         ascending order, walks right with swaps, each swap carrying the
         coupling with the site it passes; the coupling with its farthest
@@ -188,11 +208,11 @@ class MpsState:
         walks home with plain swaps: 2D - 1 two-site updates. Every site
         ends at its home position.
         """
-        for q, diag in phases.items():
-            self.tensors[q] = self.tensors[q] * diag[None, :, None]
+        for q, e in energies.items():
+            self.tensors[q] = self.tensors[q] * np.exp(-1j * gamma * e)[None, :, None]
         walks: dict[int, dict[int, np.ndarray]] = {}
         for (lo, hi), table in couplings.items():
-            walks.setdefault(lo, {})[hi] = np.ravel(table)
+            walks.setdefault(lo, {})[hi] = np.exp(-1j * gamma * np.ravel(table))
         for lo in sorted(walks):
             partners = walks[lo]
             far = max(partners)
@@ -276,10 +296,10 @@ class MpsState:
     def amplitudes(self) -> np.ndarray:
         """Full amplitude vector, site 0's index varying fastest.
 
-        For a qubit chain that is the statevector (qubit 0 the
-        least-significant index bit); for a residue chain, the flat one-hot
-        tensor of ``statevector.one_hot_state``. Exponential in size;
-        guarded to small chains for cross-checks.
+        Where each site's row k sets bit j of k on its j-th qubit, that is
+        the statevector (qubit 0 the least-significant index bit); for
+        ``xy``, the flat tensor of ``statevector.one_hot_state``.
+        Exponential in size; guarded to small chains for cross-checks.
         """
         dims = self.dims
         if math.prod(dims) > 1 << 16:
@@ -295,89 +315,62 @@ class MpsState:
         return np.ascontiguousarray(amps.transpose(range(self.num_sites - 1, -1, -1))).ravel()
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample a qubit chain; returns a (shots, M) bit array.
+        """Exact sequential sampling; returns a (shots, num_qubits) bit array.
 
-        Each qubit draws one uniform per shot, in qubit order, and is 1
-        where the draw reaches the conditional probability of 0.
-        """
-
-        def choose(site: int, probs: list[np.ndarray], bits: np.ndarray) -> np.ndarray:
-            p0, p1 = probs
-            prob0 = p0 / (p0 + p1)
-            draw = rng.uniform(size=shots)
-            chose1 = draw >= prob0
-            bits[:, site] = chose1
-            return chose1
-
-        return self._draw(shots, self.num_sites, choose)
-
-    def sample_one_hot(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample a residue chain; returns a (shots, M) bit array.
-
-        Site i stands for a block of ``dims[i]`` qubits, one per rotamer,
-        exactly one of them set; M is the sum of ``dims``. The draws are
-        the qubit chain's: one uniform per shot for each qubit, in qubit
-        order. Block qubit a is 1 where the draw reaches the conditional
-        probability that it is 0: 1 once the block has chosen, and
-        otherwise the mass of rotamers above a over the mass of rotamers a
-        and above. So a residue chain and a qubit chain holding the same
-        state give the same samples, up to round-off in the probabilities.
-        """
-        dims = self.dims
-        offsets = np.cumsum((0,) + dims[:-1])
-
-        def choose(site: int, probs: list[np.ndarray], bits: np.ndarray) -> np.ndarray:
-            # tails[a]: the mass of rotamers a and above
-            tails = np.zeros((len(probs) + 1, shots))
-            tails[:-1] = np.cumsum(probs[::-1], axis=0)[::-1]
-            # a tail without mass takes rotamer a, so every block chooses
-            above, here = tails[1:], tails[:-1]
-            prob0 = np.divide(above, here, out=np.zeros_like(here), where=here > 0.0)
-            # row a holds qubit a's draws: the stream of one call per qubit
-            hits = rng.uniform(size=prob0.shape) >= prob0
-            # the block's first hit chooses; the qubits after it are 0
-            pick = hits.argmax(axis=0)
-            bits[np.arange(shots), offsets[site] + pick] = 1
-            return pick
-
-        return self._draw(shots, sum(dims), choose)
-
-    def _draw(
-        self,
-        shots: int,
-        width: int,
-        choose: Callable[[int, list[np.ndarray], np.ndarray], np.ndarray],
-    ) -> np.ndarray:
-        """Sequential exact sampling into a (shots, width) bit array.
-
-        Moves the center to site 0 so every tensor to the right is
-        right-orthonormal, then calls ``choose(site, probs, bits)`` site by
-        site: ``probs[k]`` is each shot's unnormalized probability of
-        index k given the indices already drawn; ``choose`` writes the
-        site's bits and returns the index each shot takes.
+        Each qubit, in qubit order, draws one uniform per shot and is 1
+        where the draw reaches the probability that it is 0 given the
+        qubits already drawn: any grouping of one state into sites gives
+        the samples of a chain of qubit sites, up to round-off.
         """
         if shots < 1:
             raise ValueError("need at least one shot")
         self.move_center(0)
-        tensor0 = self.tensors[0]
-        nrm = np.linalg.norm(tensor0)
+        nrm = np.linalg.norm(self.tensors[0])
         if nrm == 0.0:
             raise ValueError("cannot sample the zero state")
-        bits = np.zeros((shots, width), dtype=np.uint8)
-        env = np.ones((shots, 1), dtype=complex)
-        for site, t in enumerate(self.tensors):
-            if site == 0:
-                t = t / nrm
-            amps = [env @ t[:, k, :] for k in range(t.shape[1])]
-            probs = [np.einsum("sr,sr->s", a, a.conj()).real for a in amps]
-            pick = choose(site, probs, bits)
-            env, taken = amps[0], probs[0]
-            for k in range(1, len(amps)):
-                chose_k = pick == k
-                env = np.where(chose_k[:, None], amps[k], env)
-                taken = np.where(chose_k, probs[k], taken)
-            env /= np.sqrt(taken)[:, None]
-        return bits
+        env = np.full((shots, 1), 1.0 / nrm, dtype=complex)
+        drawn = []
+        for t, pats in zip(self.tensors, self.patterns):
+            # amps[a]: each shot's amplitudes with this site on pattern a
+            amps = np.matmul(env, t.transpose(1, 0, 2))
+            flat = amps.view(float)
+            probs = np.einsum("dsx,dsx->ds", flat, flat)
+            levels, sides = _forks(pats.tobytes(), pats.shape[1])
+            mass = (sides.reshape(-1, len(pats)) @ probs).reshape(-1, 2, shots)
+            # row j holds qubit j's draws, the stream of one call per qubit;
+            # a fork's bit is 1 where its draw reaches P(0 | the fork)
+            draws = rng.uniform(size=(pats.shape[1], shots))[levels]
+            ones = draws * (mass[:, 0] + mass[:, 1]) >= mass[:, 0]
+            # forks on each pattern's path whose bit went the other way; a
+            # shot takes the one pattern with none
+            wrong = sides[:, 0].T @ ones + sides[:, 1].T @ ~ones
+            pick = np.arange(len(pats)) @ (wrong < 0.5)
+            drawn.append(pats[pick])
+            row = pick * shots + np.arange(shots)  # in amps' (pattern, shot) rows
+            env = np.take(amps.reshape(-1, amps.shape[2]), row, axis=0)
+            env /= np.sqrt(np.take(probs, row))[:, None]
+        return np.concatenate(drawn, axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _forks(key: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forks of a site's patterns (uint8 bytes, ``width`` qubits each):
+    the prefixes of qubits 0..j-1 whose patterns differ on qubit j. Returns
+    each fork's j and ``sides[f, v, a]``, 1 where pattern a is past fork f
+    with qubit j at v."""
+    pats = np.frombuffer(key, dtype=np.uint8).reshape(-1, width)
+    levels, sides = [], []
+    for j in range(width):
+        for prefix in np.unique(pats[:, :j], axis=0):
+            under = (pats[:, :j] == prefix).all(axis=1)
+            side = np.array([under & (pats[:, j] == v) for v in (0, 1)], dtype=float)
+            if side.any(axis=1).all():
+                levels.append(j)
+                sides.append(side)
+    levels, sides = np.array(levels, dtype=int), np.array(sides).reshape(-1, 2, len(pats))
+    # the cache hands them to every caller
+    levels.flags.writeable = sides.flags.writeable = False
+    return levels, sides
 
 
 def run_circuit_mps(
@@ -409,27 +402,22 @@ def ansatz_chain(
 ) -> Callable[[Sequence[float]], MpsState]:
     """The regime's ansatz on an MPS, prepared once.
 
-    Returns ``evolve(params)``: ``circuits.assemble_ansatz``'s ansatz at the
-    2p angles, up to its global phase. Each layer multiplies in
-    exp(-i * gamma * E) through :meth:`MpsState._apply_diagonal`, then
-    applies one mixer unitary per site. ``baseline``/``penalty`` run on
-    qubit sites under ``h``: field h_q gives site q the energies (-h_q, h_q),
-    coupling J_ij the pair J_ij * z_i z_j, and the mixer is RX(2 beta).
-    ``xy`` runs on residue sites, each holding the weight-one states of its
-    block, from the block's part of the state preparation. Its energies are
-    ``problem``'s tables (the bare Ising energy of a one-hot state), and
-    its mixer is the block's ``build_mixer`` gates multiplied in their
-    order, keeping the Trotter order. Sample qubit sites with
-    :meth:`MpsState.sample` and residue sites with
-    :meth:`MpsState.sample_one_hot`.
+    Returns ``evolve(params)``: ``circuits.assemble_ansatz``'s ansatz under
+    ``h`` at the 2p angles, global phase included. ``xy`` keeps one site
+    per residue holding the block's one-hot patterns, mixed by its
+    ``build_mixer`` gates in their order. ``baseline``/``penalty`` split
+    each block evenly into runs of at most ``SITE_QUBITS`` qubits holding
+    all their patterns, mixed by RX(2 beta) on each qubit. Each layer
+    multiplies in exp(-i * gamma * E), E from ``h`` over the sites' spins
+    z = 1 - 2 * bit, then applies one mixer unitary per site.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    blocks = problem.blocks
     if regime == "xy":
-        starts = [one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for _, n in blocks]
-        phases = {i: problem.self_energies[off : off + n] for i, (off, n) in enumerate(blocks)}
-        couplings = {pair: e for pair, e in problem.pair_blocks.items() if e.any()}
+        sites = [np.arange(off, off + n) for off, n in problem.blocks]
+        patterns = [np.eye(q.size, dtype=np.uint8) for q in sites]
+        starts = [one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)])
+                  for n in problem.rotamer_counts]
         rings = {n: build_mixer("xy", [(0, n)], 0.0).gates for n in set(problem.rotamer_counts)}
 
         def mixers(beta: float) -> list[np.ndarray]:
@@ -440,28 +428,40 @@ def ansatz_chain(
                 for gate in ring:
                     rows = list(gate.qubits)
                     unitaries[n][rows] = rotation @ unitaries[n][rows]
-            return [unitaries[n] for _, n in blocks]
+            return [unitaries[q.size] for q in sites]
 
     else:
-        first = {off for off, _ in blocks}
-        starts = [(0.0, 1.0) if q in first else (1.0, 0.0) for q in range(h.num_spins)]
-        # spin z = 1 - 2 * bit; the energy is sum J z z - sum h z
-        phases = {q: np.array([-f, f]) for q, f in enumerate(h.fields) if f != 0.0}
-        zz = np.array([1.0, -1.0, -1.0, 1.0])
-        couplings = {(i, j): h.couplings[i, j] * zz for i, j in np.argwhere(h.couplings).tolist()}
+        sites = [run for off, n in problem.blocks
+                 for run in np.array_split(np.arange(off, off + n), -(-n // SITE_QUBITS))]
+        # pattern k sets bit j of k on the site's j-th qubit
+        patterns = [(np.arange(1 << q.size)[:, None] >> np.arange(q.size)) & 1 for q in sites]
+        # rotamer 0 sets the first qubit of each block
+        starts = [np.eye(1 << q.size)[int(q[0] in problem.block_offsets)] for q in sites]
 
         def mixers(beta: float) -> list[np.ndarray]:
-            return [gate_matrix(Gate("rx", (0,), (2.0 * beta,)))] * len(starts)
+            rx = gate_matrix(Gate("rx", (0,), (2.0 * beta,)))
+            # powers[w]: RX(2 beta) on each of w qubits
+            powers = list(itertools.accumulate([rx] * SITE_QUBITS, np.kron, initial=np.ones(1)))
+            return [powers[q.size] for q in sites]
+
+    # the energy is sum J z z - sum h z + constant, spin z = 1 - 2 * bit
+    spins = [1.0 - 2.0 * p for p in patterns]
+    energies = {
+        s: np.einsum("ai,ij,aj->a", z, h.couplings[np.ix_(q, q)], z) - z @ h.fields[q]
+        for s, (q, z) in enumerate(zip(sites, spins))
+    }
+    # the constant carries the circuit's global phase
+    energies[0] += h.constant
+    couplings = {}
+    for (s, q), (t, r) in itertools.combinations(enumerate(sites), 2):
+        if h.couplings[np.ix_(q, r)].any():
+            couplings[s, t] = spins[s] @ h.couplings[np.ix_(q, r)] @ spins[t].T
 
     def evolve(params: Sequence[float]) -> MpsState:
-        state = MpsState(starts, max_bond=max_bond)
+        state = MpsState(starts, patterns=patterns, max_bond=max_bond)
         for gamma, beta in angle_pairs(params):
-            state._apply_diagonal(
-                {i: np.exp(-1j * gamma * e) for i, e in phases.items()},
-                {pair: np.exp(-1j * gamma * e) for pair, e in couplings.items()},
-            )
-            for i, unitary in enumerate(mixers(beta)):
-                state.tensors[i] = np.matmul(unitary, state.tensors[i])
+            state._apply_diagonal(gamma, energies, couplings)
+            state.tensors = [np.matmul(u, t) for u, t in zip(mixers(beta), state.tensors)]
         return state
 
     return evolve

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import types
@@ -219,6 +220,18 @@ class TestEstimateCrossover:
         )
         assert est.marker == "unbounded"
         assert est.crossover_m is None
+
+    @pytest.mark.parametrize("rates", [(math.nan, 1e3), (1e9, math.inf), (-math.inf, 1e3)])
+    def test_rates_must_be_finite(self, rates):
+        cpu, qpu = rates
+        name = "cpu_rate_hz" if not math.isfinite(cpu) else "qpu_rate_hz"
+        with pytest.raises(ValueError, match=f"finite: {name} is"):
+            estimate_crossover(
+                planted_fit(0.05, 0.0),
+                planted_fit(0.2, 0.0),
+                cpu_rate_hz=cpu,
+                qpu_rate_hz=qpu,
+            )
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError, match="rates"):
@@ -975,6 +988,36 @@ class TestCli:
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 3
         assert (out_dir / "reports" / "scaling.csv").exists()
+
+    def test_non_finite_rate_is_refused(self, tmp_path, capsys):
+        # a NaN crossover would print as NaN, which is not JSON
+        for series, slope in (("qaoa-xy-statevector", 0.05), ("sa-discrete", 0.2)):
+            for m in (15, 18, 21, 24):
+                cell_dir = tmp_path / "cells" / f"{series}-{m}"
+                cell_dir.mkdir(parents=True)
+                summary = synthetic_summary(series, m, math.exp(slope * m))
+                (cell_dir / "summary.json").write_text(json.dumps(summary))
+        args = ["--in", str(tmp_path), "--fit-start-m", "0", "--qpu-khz", "1"]
+        assert main(["crossover", *args, "--cpu-ghz", "1"]) == 0
+        capsys.readouterr()
+        assert main(["crossover", *args, "--cpu-ghz", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "device rates must be positive and finite: cpu_rate_hz is nan"
+        ]
+
+    @pytest.mark.parametrize("rate", [["--cpu-ghz", "1"], ["--qpu-khz", "1"]])
+    def test_report_refuses_a_lone_rate(self, tmp_path, smoke_tree, rate, capsys):
+        tree = tmp_path / "tree"
+        shutil.copytree(smoke_tree / "cells", tree / "cells")
+        assert main(["report", "--in", str(tree), *rate]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "a crossover needs both cpu_ghz and qpu_khz, or neither"
+        ]
+        assert not (tree / "reports").exists()
 
     def test_fit_command_without_data_fails(self, tmp_path, capsys):
         assert main(["fit", "--in", str(tmp_path)]) == 1

@@ -359,8 +359,8 @@ class TestOptimize:
         cfg = QaoaConfig(regime=regime, backend="mps", max_iterations=2, seed=4)
         rec = optimize(problem, cfg)
         assert rec.iterations_used == 2
-        # the residue chain's bonds are at most 3 across any cut; the qubit
-        # chain's middle cut splits a block
+        # xy's one-hot sites keep bonds of at most 3 across any cut; a
+        # penalty site holds all 8 patterns of its block
         assert (rec.max_bond_reached <= 3) == (regime == "xy")
 
     @pytest.mark.parametrize("regime", ["penalty", "baseline", "xy"])

@@ -17,7 +17,14 @@ from rotpack.circuits import (
     build_mixer,
 )
 from rotpack.driver import init_params
-from rotpack.mps import MAX_BOND, MpsState, ansatz_chain, run_circuit_mps
+from rotpack.mps import (
+    MAX_BOND,
+    SITE_QUBITS,
+    TRUNCATION_THRESHOLD,
+    MpsState,
+    ansatz_chain,
+    run_circuit_mps,
+)
 from rotpack.problem import encode, random_problem, valid_mask
 from rotpack.qubo import all_bitstring_energies, default_penalty
 from rotpack.statevector import (
@@ -67,6 +74,35 @@ class TestConstruction:
             state.apply_gate(Gate("x", (-1,)))
         assert state.amplitudes()[0] == 1.0
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            [[[0], [1]], [[0, 1], [1, 0], [1, 1]]],
+            [[[0], [1]]],
+            [],
+            [[[0], [1]], [[0], [2]]],
+            [[[0], [1]], [[0.5], [1]]],
+            [[[0], [1]], [[1], [1]]],
+        ],
+        ids=["dimension", "count", "none", "two", "half", "repeat"],
+    )
+    def test_refuses_bad_patterns(self, patterns):
+        with pytest.raises(ValueError, match="one distinct row of 0/1 bits per dimension"):
+            MpsState([(1.0, 0.0), (0.0, 1.0)], patterns=patterns)
+
+    def test_gate_needs_qubit_sites(self):
+        # an xy chain with 2 rotamers per residue has sites of dimension 2
+        # that each hold two qubits
+        problem = random_problem(2, 2, seed=0)
+        state = residue_chain(problem, [0.3, 0.4])
+        with pytest.raises(ValueError, match="one qubit each"):
+            state.apply_gate(Gate("rx", (0,), (0.3,)))
+        flipped = MpsState([(1.0, 0.0), (1.0, 0.0)], patterns=[[[1], [0]], [[0], [1]]])
+        with pytest.raises(ValueError, match="one qubit each"):
+            flipped.apply_gate(Gate("x", (0,)))
+        flipped.apply_gate(Gate("x", (1,)))
+        np.testing.assert_array_equal(flipped.sample(4, np.random.default_rng(0)), [[1, 1]] * 4)
+
     def test_amplitude_readout_guard(self):
         state = MpsState(17)
         with pytest.raises(ValueError, match="limited to 16 qubits"):
@@ -89,16 +125,21 @@ def mixed_circuits(draw):
     return Circuit(num_qubits=n, gates=tuple(gates))
 
 
-def expected_updates(h, p: int) -> tuple[int, int]:
-    """(two-site updates, swap updates) of the qubit chain's p cost layers
-    under ``h``, in closed form.
+def expected_updates(h, state: MpsState, p: int) -> tuple[int, int]:
+    """(two-site updates, swap updates) of p cost layers under ``h`` on the
+    sites of ``state``, in closed form.
 
-    Each lower qubit of the couplings walks to its farthest partner, at
-    distance D, and back: 2D - 1 updates, 2(D - 1) of them swaps.
+    Sites hold consecutive qubits, and two sites are coupled where ``h``
+    couples a qubit of one to a qubit of the other. Each lower site of
+    those couplings walks to its farthest partner, at distance D, and
+    back: 2D - 1 updates, 2(D - 1) of them swaps.
     """
+    site = np.repeat(np.arange(state.num_sites), [w.shape[1] for w in state.patterns])
     farthest: dict[int, int] = {}
-    for lo, hi in zip(*np.nonzero(h.couplings)):
-        farthest[lo] = max(farthest.get(lo, 0), hi - lo)
+    for i, j in zip(*np.nonzero(h.couplings)):
+        lo, hi = site[i], site[j]
+        if lo != hi:
+            farthest[lo] = max(farthest.get(lo, 0), hi - lo)
     distances = np.array(list(farthest.values()))
     return p * int((2 * distances - 1).sum()), p * int((2 * (distances - 1)).sum())
 
@@ -222,7 +263,7 @@ def residue_chain(problem, params, max_bond: int | None = MAX_BOND) -> MpsState:
     return ansatz_chain(problem, h, "xy", max_bond=max_bond)(params)
 
 
-def qubit_chain(
+def chain(
     problem, regime, params, max_bond: int | None = MAX_BOND, penalty=None
 ) -> MpsState:
     h = ansatz_hamiltonian(problem, regime, penalty)
@@ -272,7 +313,7 @@ class TestResidueChain:
         params = init_params(2, np.random.default_rng(rotamers))
         state = residue_chain(problem, params, max_bond=64)
         qubits = run_circuit_mps(ansatz_circuit(problem, "xy", params), max_bond=64)
-        got = state.sample_one_hot(500, np.random.default_rng(1))
+        got = state.sample(500, np.random.default_rng(1))
         np.testing.assert_array_equal(got, qubits.sample(500, np.random.default_rng(1)))
         assert got.shape == (500, problem.num_qubits)
         assert state.two_site_updates < qubits.two_site_updates
@@ -282,8 +323,11 @@ class TestResidueChain:
         # no mass lies above the choice
         problem = random_problem(4, (3, 4, 2, 5), seed=0)
         config = (2, 0, 1, 4)
-        state = MpsState([np.eye(n)[a] for n, a in zip(problem.rotamer_counts, config)])
-        bits = state.sample_one_hot(300, np.random.default_rng(3))
+        state = MpsState(
+            [np.eye(n)[a] for n, a in zip(problem.rotamer_counts, config)],
+            patterns=[np.eye(n, dtype=int) for n in problem.rotamer_counts],
+        )
+        bits = state.sample(300, np.random.default_rng(3))
         np.testing.assert_array_equal(bits, np.tile(encode(config, problem), (300, 1)))
 
     @pytest.mark.parametrize("idx, residues, rotamers", [(5, 3, 3), (8, 3, 4), (9, 4, 3)])
@@ -297,7 +341,7 @@ class TestResidueChain:
         params[1::2] = rng.uniform(-1.0, 1.0, size=p)
         exact = np.abs(run_circuit(ansatz_circuit(problem, "xy", params))) ** 2
         shots = 100_000
-        bits = residue_chain(problem, params).sample_one_hot(
+        bits = residue_chain(problem, params).sample(
             shots, np.random.default_rng(90 + idx)
         )
         indices = bits.astype(np.int64) @ (1 << np.arange(problem.num_qubits))
@@ -313,7 +357,7 @@ class TestResidueChain:
         assert capped.max_bond_reached == 3
         assert capped.discarded_weight > 0.0
         assert capped.norm() == pytest.approx(1.0)
-        bits = capped.sample_one_hot(200, np.random.default_rng(0))
+        bits = capped.sample(200, np.random.default_rng(0))
         # truncation never leaves the one-hot subspace
         assert valid_mask(bits, problem).all()
 
@@ -337,8 +381,8 @@ QUBIT_CHAIN_PROBLEMS = {
 
 
 class TestQubitChain:
-    """The baseline and penalty ansatz on qubit sites against the dense
-    statevector."""
+    """The baseline and penalty ansatz, on sites of at most four qubits
+    of one block, against the dense statevector."""
 
     @pytest.mark.parametrize(
         "regime, weight",
@@ -353,14 +397,14 @@ class TestQubitChain:
         params = [0.4, -0.7, -0.3, 0.5]
         h = ansatz_hamiltonian(problem, regime, weight)
         dense = run_circuit(assemble_ansatz(regime, problem.blocks, h, params))
-        state = qubit_chain(problem, regime, params, max_bond=None, penalty=weight)
-        np.testing.assert_allclose(
-            np.abs(state.amplitudes()) ** 2, np.abs(dense) ** 2, rtol=0, atol=1e-10
-        )
-        assert state.dims == (2,) * problem.num_qubits
+        state = chain(problem, regime, params, max_bond=None, penalty=weight)
+        # the chain carries the circuit's global phase
+        np.testing.assert_allclose(state.amplitudes(), dense, rtol=0, atol=1e-10)
+        # a block of n qubits is one site of 2^n patterns, up to n = 4
+        assert state.dims == tuple(2**n for n in problem.rotamer_counts)
         assert state.discarded_weight == 0.0
         assert state.norm() == pytest.approx(1.0)
-        capped = qubit_chain(problem, regime, params, max_bond=2, penalty=weight)
+        capped = chain(problem, regime, params, max_bond=2, penalty=weight)
         assert capped.max_bond_reached == 2
         assert capped.discarded_weight > 0.0
 
@@ -368,33 +412,64 @@ class TestQubitChain:
 class TestRouting:
     def test_update_counts_match_closed_form(self):
         problem = random_problem(5, 5, seed=3)
-        for regime in ("baseline", "penalty"):
-            state = qubit_chain(problem, regime, [0.3] * 4)
+        for regime in ("baseline", "penalty", "xy"):
+            state = chain(problem, regime, [0.3] * 4)
             h = ansatz_hamiltonian(problem, regime)
-            assert (state.two_site_updates, state.swap_updates) == expected_updates(h, 2)
+            assert (state.two_site_updates, state.swap_updates) == expected_updates(h, state, 2)
+        # xy keeps one site per residue; the others split a block of 5
+        # qubits into runs of 3 and 2
+        assert state.dims == (5,) * 5
+        assert chain(problem, "penalty", [0.3] * 4).dims == (8, 4) * 5
+        # a block of 4 qubits is one site, so a nearest-neighbor instance
+        # takes R - 1 updates per cost layer
+        penalty = chain(random_problem(5, 4, seed=3), "penalty", [0.3] * 4)
+        assert (penalty.two_site_updates, penalty.swap_updates) == (8, 0)
         # routing every two-site gate on its own costs 2(d - 1) + 1 updates
         oracle = run_circuit_mps(ansatz_circuit(problem, "xy", [0.3] * 4))
         assert oracle.two_site_updates == 1930
 
     @pytest.mark.parametrize("regime,residues,rotamers", [
         ("xy", 5, 4), ("xy", 5, 5), ("penalty", 5, 4),
+        # blocks of more than four qubits split across sites
+        ("penalty", 5, 5), ("penalty", 5, 6), ("penalty", 5, 7),
+        ("baseline", 5, 5), ("baseline", 5, 6), ("baseline", 5, 7),
     ])
     def test_matches_per_gate_routing_at_benchmark_shapes(self, regime, residues, rotamers):
         problem = random_problem(residues, rotamers, seed=7)
         params = init_params(2, np.random.default_rng(rotamers))
         h = ansatz_hamiltonian(problem, regime)
         state = ansatz_chain(problem, h, regime, max_bond=64)(params)
-        draw = state.sample_one_hot if regime == "xy" else state.sample
         ref = run_circuit_mps(ansatz_circuit(problem, regime, params), max_bond=64)
         np.testing.assert_array_equal(
-            draw(200, np.random.default_rng(1)),
+            state.sample(200, np.random.default_rng(1)),
             ref.sample(200, np.random.default_rng(1)),
         )
-        # the walk and the residue sites cut the chain in other places than
+        # the walk and the grouped sites cut the chain in other places than
         # per-gate routing does, so the peak bond may be lower, never higher
-        assert state.max_bond_reached <= ref.max_bond_reached
         assert state.discarded_weight <= ref.discarded_weight
         assert state.two_site_updates < ref.two_site_updates
+        if regime == "xy" or rotamers <= SITE_QUBITS:
+            assert state.max_bond_reached <= ref.max_bond_reached
+            return
+        # Where blocks split, the grouped chain keeps a few Schmidt values
+        # within twice the cutoff that the oracle's thousands of extra
+        # splits dropped (5x6: 46 against 44 values of at least 1e-10 of
+        # the largest), so each cut is compared above twice the cutoff,
+        # against the oracle's bond at the same qubit cut.
+        qubit_cuts = np.cumsum([p.shape[1] for p in state.patterns])[:-1]
+        oracle = [ref.bond_dimensions()[q - 1] for q in qubit_cuts]
+        assert (np.array(schmidt_ranks(state, 2 * TRUNCATION_THRESHOLD)) <= oracle).all()
+
+
+def schmidt_ranks(state: MpsState, floor: float) -> list[int]:
+    """Each cut's count of Schmidt values above ``floor`` times its largest."""
+    ranks = []
+    for cut in range(state.num_sites - 1):
+        state.move_center(cut)
+        t = state.tensors[cut]
+        s = np.linalg.svd(t.reshape(-1, t.shape[2]), compute_uv=False)
+        ranks.append(int(np.count_nonzero(s > floor * s[0])))
+    return ranks
 
 
 _SWAP_4X4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -515,6 +590,22 @@ class TestSampling:
         idx = (bits.astype(np.int64) << np.arange(8)).sum(axis=1)
         empirical = np.bincount(idx, minlength=256) / shots
         assert 0.5 * np.abs(empirical - probs).sum() < 0.02
+
+    def test_any_patterns_sample_their_law(self):
+        # a site of some 3-qubit patterns in no order, then a site of one
+        # pattern: each shot is one of the rows, at its probability
+        rng = np.random.default_rng(8)
+        pats = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+        state = MpsState([amps, [1.0]], patterns=[pats, [[1]]])
+        shots = 40000
+        bits = state.sample(shots, np.random.default_rng(9))
+        assert (bits[:, 3] == 1).all()
+        rows = (bits[:, None, :3] == pats[None]).all(axis=2)
+        assert (rows.sum(axis=1) == 1).all()
+        probs = np.abs(amps) ** 2 / (np.abs(amps) ** 2).sum()
+        sigma = np.sqrt(shots * probs * (1.0 - probs))
+        assert (np.abs(rows.sum(axis=0) - shots * probs) < 4.0 * sigma).all()
 
     def test_sample_agrees_with_dense_sampler_distributionally(self):
         # same state, two samplers: compare both empirical distributions

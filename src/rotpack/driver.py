@@ -11,7 +11,10 @@ execute whole.
 Each backend simulates the smallest state the regime reaches, prepared
 once per trajectory so that an iteration computes only what its angles
 change. On the statevector backend an ``xy`` ansatz runs as the one-hot
-state and the other regimes as the dense one. On the MPS backend
+state and the other regimes as the dense one, whose first layer is built
+in closed form from the basis-state start
+(``statevector.transverse_first_layer``) and whose cost table is built by
+broadcast terms (``qubo.all_bitstring_energies``). On the MPS backend
 ``mps.ansatz_chain`` runs every regime from the tables of its Ising
 Hamiltonian, on sites of bit patterns: one site per residue for ``xy``,
 runs of at most four qubits of one block for the others. Every route
@@ -297,18 +300,32 @@ def optimize(
             basis = sv.one_hot_basis(blocks)
             phase_profile = all_bitstring_energies(h_opt, basis).reshape(state0.shape)
             mix = sv.one_hot_mixer(blocks)
+            state = np.empty_like(state0)
+
+            def prepare(params: np.ndarray) -> list[list[float]]:
+                """Reset the state; return the layers still to apply."""
+                np.copyto(state, state0)
+                return angle_pairs(params)
+
         else:
-            state0 = sv.run_circuit(init_circuit)
             phase_profile = all_bitstring_energies(h_opt)
             basis = None
             mix = sv.transverse_mixer(m)
+            # the start is a basis state: the first layer has a closed form
+            first_layer = sv.transverse_first_layer(init_circuit, phase_profile)
+            state = np.empty(phase_profile.size, dtype=complex)
+
+            def prepare(params: np.ndarray) -> list[list[float]]:
+                """Fill the state with the first layer; return the others."""
+                (gamma, beta), *rest = angle_pairs(params)
+                first_layer(state, gamma, beta)
+                return rest
+
         # every iteration evolves and phases in these two arrays
-        state = np.empty_like(state0)
-        phase = np.empty_like(state0)
+        phase = np.empty_like(state)
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, None]:
-            np.copyto(state, state0)
-            for gamma, beta in angle_pairs(params):
+            for gamma, beta in prepare(params):
                 np.multiply(-1j * gamma, phase_profile, out=phase)
                 np.multiply(state, np.exp(phase, out=phase), out=state)
                 mix(state, beta)

@@ -9,6 +9,11 @@ The transverse-field mixer is prepared once per trajectory
 qubits at once, as one factor per group (the Kronecker power of RX), so a
 layer passes over the state a quarter as often as gate by gate. Its
 amplitudes match the gates' to round-off, not bit for bit.
+The transverse-field regimes start in one basis state, so their first
+layer is built in closed form (``transverse_first_layer``): the cost
+layer is a global phase there, and the mixer gives a product state, which
+fills the state by doubling over the qubits with no gate pass. It too
+matches the gates to round-off.
 
 A one-hot state keeps only the amplitudes in which every residue block
 has exactly one qubit set. That is all the xy ansatz reaches: its state
@@ -46,6 +51,7 @@ __all__ = [
     "apply_one_hot_gate",
     "one_hot_mixer",
     "transverse_mixer",
+    "transverse_first_layer",
     "sample_state",
     "bits_from_indices",
     "invalid_mass",
@@ -270,6 +276,57 @@ def transverse_mixer(num_qubits: int) -> Callable[[np.ndarray, float], np.ndarra
     return apply
 
 
+def _opening_x(circuit: Circuit) -> list[int]:
+    """Qubits of the ``x`` gates a circuit opens with: the qubits its
+    starting configuration sets."""
+    return [
+        g.qubits[0] for g in itertools.takewhile(lambda g: g.kind == "x", circuit.gates)
+    ]
+
+
+def transverse_first_layer(
+    circuit: Circuit, energies: np.ndarray
+) -> Callable[[np.ndarray, float, float], np.ndarray]:
+    """The first transverse-field QAOA layer in closed form, prepared once.
+
+    ``circuit`` holds only ``x`` gates (``build_initial_state`` for the
+    baseline and penalty regimes), so it prepares one basis state |b>;
+    ``energies`` is the cost table over all 2^M basis states. Returns
+    ``apply(state, gamma, beta)``, which fills a dense state in place with
+    the cost layer for gamma and then RX(2 beta) on every qubit, applied
+    to |b>, and returns the state. On |b> the cost layer is the global
+    phase exp(-i gamma E(b)) and the mixer gives the product of each
+    qubit's RX column for its bit, so the state is filled by doubling
+    over the qubits, qubit 0 first: about 2^M products and no allocation.
+    The amplitudes equal the gates' to round-off, not bit for bit.
+    """
+    m = circuit.num_qubits
+    excited = _opening_x(circuit)
+    if len(excited) != len(circuit.gates):
+        raise ValueError("the first layer starts from a circuit of x gates only")
+    if np.shape(energies) != (1 << m,):
+        raise ValueError(f"the first layer takes a table of {1 << m} energies")
+    start = 0
+    for q in excited:
+        start ^= 1 << q
+    bits = [(start >> q) & 1 for q in range(m)]
+    energy = float(energies[start])
+
+    def apply(state: np.ndarray, gamma: float, beta: float) -> np.ndarray:
+        if state.shape != (1 << m,):
+            raise ValueError(f"the first layer fills a state of {1 << m} amplitudes")
+        rx = gate_matrix(Gate("rx", (0,), (2.0 * beta,)))
+        state[0] = np.exp(1j * (circuit.phase - gamma * energy))
+        for q, b in enumerate(bits):
+            n = 1 << q
+            # amplitudes with qubit q set, then those with it clear
+            np.multiply(state[:n], rx[1, b], out=state[n : 2 * n])
+            state[:n] *= rx[0, b]
+        return state
+
+    return apply
+
+
 def one_hot_state(circuit: Circuit, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
     """Run a circuit from |0...0> as a one-hot state.
 
@@ -280,9 +337,7 @@ def one_hot_state(circuit: Circuit, blocks: Sequence[tuple[int, int]]) -> np.nda
     shape = _one_hot_shape(blocks)
     if circuit.num_qubits != max(o + n for o, n in blocks):
         raise ValueError("circuit width does not match the blocks")
-    excited = [
-        g.qubits[0] for g in itertools.takewhile(lambda g: g.kind == "x", circuit.gates)
-    ]
+    excited = _opening_x(circuit)
     start = []
     for off, n in blocks:
         hits = [q - off for q in excited if off <= q < off + n]

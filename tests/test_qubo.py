@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import all_bitstrings, problems
+from rotpack.circuits import ansatz_hamiltonian
 from rotpack.problem import RotamerProblem, decode, random_problem, valid_mask
 from rotpack.qubo import (
     IsingHamiltonian,
@@ -216,3 +217,43 @@ class TestEnergyTable:
         h = IsingHamiltonian(np.zeros((27, 27)), np.zeros(27), 0.0)
         with pytest.raises(ValueError, match="refusing"):
             all_bitstring_energies(h)
+
+    @pytest.mark.parametrize("regime", ["penalty", "baseline"])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            random_problem(4, 3, seed=5),
+            random_problem(4, 3, seed=6, nearest_neighbor_only=False, decay=0.5),
+            random_problem(3, (1, 3, 2), seed=7, nearest_neighbor_only=False, decay=1.0),
+            random_problem(1, 1, seed=8),
+            random_problem(1, 2, seed=9),
+            random_problem(2, 1, seed=10),
+        ],
+        ids=["nearest", "decay", "mixed", "m1", "m2", "m2-two-residues"],
+    )
+    def test_full_table_equals_per_index_path(self, problem, regime):
+        h = ansatz_hamiltonian(problem, regime)
+        size = 1 << problem.num_qubits
+        table = all_bitstring_energies(h)
+        # bit for bit, the sign of a zero included
+        assert table.tobytes() == all_bitstring_energies(h, np.arange(size)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_full_table_with_zero_fields(self, m):
+        rng = np.random.default_rng(m)
+        couplings = np.triu(rng.normal(size=(m, m)), 1)
+        for constant in (0.0, -0.0, 1.5):
+            h = IsingHamiltonian(couplings, np.zeros(m), constant)
+            table = all_bitstring_energies(h)
+            want = all_bitstring_energies(h, np.arange(1 << m))
+            assert table.tobytes() == want.tobytes()
+            assert np.allclose(table, h.energies_of_bits(all_bitstrings(m)), atol=1e-12)
+
+    def test_indices_must_name_basis_states(self):
+        h = ansatz_hamiltonian(random_problem(2, 2, seed=1), "penalty")
+        for bad in ([16], [17], [-1], [0, 3, 16], np.array([[2], [-5]])):
+            with pytest.raises(ValueError, match=r"indices must lie in \[0, 16\)"):
+                all_bitstring_energies(h, np.array(bad))
+        table = all_bitstring_energies(h)
+        assert np.array_equal(all_bitstring_energies(h, [0, 15]), table[[0, 15]])
+        assert all_bitstring_energies(h, np.array([], dtype=np.int64)).size == 0

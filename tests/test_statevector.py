@@ -27,6 +27,7 @@ from rotpack.statevector import (
     invalid_mass,
     run_circuit,
     sample_state,
+    transverse_first_layer,
     transverse_mixer,
     zero_state,
 )
@@ -208,8 +209,8 @@ class TestTransverseMixer:
 
     @pytest.mark.parametrize("regime", ["baseline", "penalty"])
     def test_trajectory_prepares_its_mixer_once(self, regime, monkeypatch):
-        # 3 iterations at p=3: 9 mixer layers from one preparation, and no
-        # gate applied after the state preparation's x gates
+        # 3 iterations at p=3: the first layer of each in closed form, so 6
+        # mixer layers from one preparation, and no gate applied at all
         prepared, layers, gates = [], [], []
 
         def counting_mixer(m):
@@ -232,35 +233,103 @@ class TestTransverseMixer:
         rec = optimize(random_problem(3, 3, seed=4), config)
         assert rec.iterations_used == 3
         assert prepared == [9]
-        assert len(layers) == 9
-        assert gates == ["x"] * 3
+        assert len(layers) == 6
+        assert gates == []
 
     @pytest.mark.parametrize("regime", ["baseline", "penalty"])
     def test_driver_evolution_matches_gates(self, regime, monkeypatch):
-        # the state and samples of the driver's first iteration, whose
-        # angles are the optimizer's starting point
-        sampled = []
+        assert_driver_matches_gates(random_problem(4, 3, seed=11), regime, 3, monkeypatch)
 
-        def capture(state, shots, rng, basis=None):
-            bits = sample_state(state, shots, rng, basis)
-            sampled.append((state.copy(), shots, bits))
-            return bits
 
-        monkeypatch.setattr("rotpack.driver.sv.sample_state", capture)
-        problem = random_problem(4, 3, seed=11)
-        config = QaoaConfig(regime=regime, p=3, seed=2, max_iterations=1)
-        optimize(problem, config, trajectory_id=4)
-        rng = generator(trajectory_seed(2, 4))
-        x0 = init_params(3, rng)
-        table = all_bitstring_energies(ansatz_hamiltonian(problem, regime))
-        want = run_circuit(build_initial_state(regime, problem.blocks))
-        for gamma, beta in zip(x0[0::2], x0[1::2]):
-            want *= np.exp(-1j * gamma * table)
-            for g in build_mixer(regime, problem.blocks, beta).gates:
-                apply_gate(want, g)
-        ((state, shots, bits),) = sampled
+def assert_driver_matches_gates(problem, regime, p, monkeypatch):
+    """The state and samples of the driver's first iteration, whose angles
+    are the optimizer's starting point, against the ansatz's gates applied
+    one at a time from the prepared start."""
+    sampled = []
+
+    def capture(state, shots, rng, basis=None):
+        bits = sample_state(state, shots, rng, basis)
+        sampled.append((state.copy(), shots, bits))
+        return bits
+
+    monkeypatch.setattr("rotpack.driver.sv.sample_state", capture)
+    config = QaoaConfig(regime=regime, p=p, seed=2, max_iterations=1)
+    optimize(problem, config, trajectory_id=4)
+    rng = generator(trajectory_seed(2, 4))
+    x0 = init_params(p, rng)
+    table = all_bitstring_energies(ansatz_hamiltonian(problem, regime))
+    want = run_circuit(build_initial_state(regime, problem.blocks))
+    for gamma, beta in zip(x0[0::2], x0[1::2]):
+        want *= np.exp(-1j * gamma * table)
+        for g in build_mixer(regime, problem.blocks, beta).gates:
+            apply_gate(want, g)
+    ((state, shots, bits),) = sampled
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+    assert np.array_equal(bits, sample_state(want, shots, rng))
+
+
+# (residues, rotamer counts, seed): blocks of one rotamer, mixed counts,
+# widths (12, 3, 3, 9, 9) below MIXER_GROUP and not a multiple of it
+FIRST_LAYER_PROBLEMS = [
+    (4, 3, 11),
+    (2, (1, 2), 12),
+    (3, 1, 13),
+    (3, (2, 3, 4), 14),
+    (4, (1, 4, 1, 3), 15),
+]
+
+
+class TestTransverseFirstLayer:
+    @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4], ids=str)
+    @pytest.mark.parametrize(
+        "excited", [(), (0,), (2, 5), (1, 3, 4, 6), (3, 3, 6)], ids=str
+    )
+    def test_matches_gate_by_gate(self, excited, beta):
+        m, gamma = 7, 0.37
+        circuit = Circuit(m, tuple(Gate("x", (q,)) for q in excited))
+        energies = np.random.default_rng(3).normal(size=1 << m)
+        want = run_circuit(circuit)
+        want *= np.exp(-1j * gamma * energies)
+        gate_by_gate_mixer(want, beta)
+        state = np.full(1 << m, np.nan, dtype=complex)
+        layer = transverse_first_layer(circuit, energies)
+        assert layer(state, gamma, beta) is state
         np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
-        assert np.array_equal(bits, sample_state(want, shots, rng))
+        # a second fill of the same buffer
+        layer(state, -gamma, -beta)
+        want = run_circuit(circuit)
+        want *= np.exp(1j * gamma * energies)
+        gate_by_gate_mixer(want, -beta)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+    def test_keeps_the_circuit_phase(self):
+        circuit = Circuit(2, (Gate("x", (1,)),), phase=0.8)
+        energies = np.arange(4.0)
+        state = transverse_first_layer(circuit, energies)(np.empty(4, complex), 0.3, 0.2)
+        want = run_circuit(circuit)
+        want *= np.exp(-0.3j * energies)
+        gate_by_gate_mixer(want, 0.2)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="x gates only"):
+            transverse_first_layer(
+                Circuit(2, (Gate("x", (0,)), Gate("rx", (1,), (0.1,)))), np.zeros(4)
+            )
+        with pytest.raises(ValueError, match="table of 4 energies"):
+            transverse_first_layer(Circuit(2, ()), np.zeros(8))
+        layer = transverse_first_layer(Circuit(2, ()), np.zeros(4))
+        for state in (zero_state(1), zero_state(3), zero_state(2).reshape(2, 2)):
+            with pytest.raises(ValueError, match="fills a state of 4 amplitudes"):
+                layer(state, 0.1, 0.2)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("regime", ["baseline", "penalty"])
+    @pytest.mark.parametrize("shape", FIRST_LAYER_PROBLEMS, ids=str)
+    def test_driver_evolution_matches_gates(self, shape, regime, p, monkeypatch):
+        residues, rotamers, seed = shape
+        problem = random_problem(residues, rotamers, seed=seed)
+        assert_driver_matches_gates(problem, regime, p, monkeypatch)
 
 
 class TestSampling:

@@ -13,12 +13,14 @@ once per trajectory so that an iteration computes only what its angles
 change. On the statevector backend an ``xy`` ansatz runs as the one-hot
 state and the other regimes as the dense one, whose first layer is built
 in closed form from the basis-state start
-(``statevector.transverse_first_layer``) and whose cost table is built by
-broadcast terms (``qubo.all_bitstring_energies``). On the MPS backend
-``mps.ansatz_chain`` runs every regime from the tables of its Ising
-Hamiltonian, on sites of bit patterns: one site per residue for ``xy``,
-runs of at most four qubits of one block for the others. Every route
-samples the full qubit register.
+(``statevector.transverse_first_layer``) and whose cost layers multiply
+in phases built by doubling over the qubits from the Ising terms
+(``statevector.cost_phase``), with no energy table; the one-hot state's
+cost layer is the exp of its energies (``qubo.all_bitstring_energies``
+on its basis). On the MPS backend ``mps.ansatz_chain`` runs every regime
+from the tables of its Ising Hamiltonian, on sites of bit patterns: one
+site per residue for ``xy``, runs of at most four qubits of one block
+for the others. Every route samples the full qubit register.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -292,8 +294,8 @@ def optimize(
 
     if config.backend == "statevector":
         init_circuit = build_initial_state(regime, blocks)
-        # the cost layer is diagonal: apply it as one exact phase profile; the
-        # mixer's gates are fixed and only beta changes per layer
+        # the cost layer is diagonal and the mixer's gates are fixed: both
+        # are prepared once, and only the angles change per layer
         if regime == "xy":
             # every block stays at weight one: keep only those amplitudes
             state0 = sv.one_hot_state(init_circuit, blocks)
@@ -301,6 +303,11 @@ def optimize(
             phase_profile = all_bitstring_energies(h_opt, basis).reshape(state0.shape)
             mix = sv.one_hot_mixer(blocks)
             state = np.empty_like(state0)
+            phase = np.empty_like(state)
+
+            def cost(state: np.ndarray, gamma: float) -> None:
+                np.multiply(-1j * gamma, phase_profile, out=phase)
+                np.multiply(state, np.exp(phase, out=phase), out=state)
 
             def prepare(params: np.ndarray) -> list[list[float]]:
                 """Reset the state; return the layers still to apply."""
@@ -308,12 +315,12 @@ def optimize(
                 return angle_pairs(params)
 
         else:
-            phase_profile = all_bitstring_energies(h_opt)
             basis = None
+            cost = sv.cost_phase(h_opt)
             mix = sv.transverse_mixer(m)
             # the start is a basis state: the first layer has a closed form
-            first_layer = sv.transverse_first_layer(init_circuit, phase_profile)
-            state = np.empty(phase_profile.size, dtype=complex)
+            first_layer = sv.transverse_first_layer(init_circuit, h_opt)
+            state = np.empty(1 << m, dtype=complex)
 
             def prepare(params: np.ndarray) -> list[list[float]]:
                 """Fill the state with the first layer; return the others."""
@@ -321,13 +328,9 @@ def optimize(
                 first_layer(state, gamma, beta)
                 return rest
 
-        # every iteration evolves and phases in these two arrays
-        phase = np.empty_like(state)
-
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, None]:
             for gamma, beta in prepare(params):
-                np.multiply(-1j * gamma, phase_profile, out=phase)
-                np.multiply(state, np.exp(phase, out=phase), out=state)
+                cost(state, gamma)
                 mix(state, beta)
             return sv.sample_state(state, shots, rng, basis), None
 

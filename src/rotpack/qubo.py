@@ -161,43 +161,23 @@ def qubo_to_ising(q: QuboMatrix) -> IsingHamiltonian:
     return IsingHamiltonian(couplings=couplings, fields=fields, constant=constant)
 
 
-# Each term's sign over its bits, as it broadcasts over a reshaped table:
-# -h z is -h where the bit is 0 (z = +1) and +h where it is 1; J z_i z_j is
-# +J where the two bits agree and -J where they differ.
-_FIELD_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1)
-_COUPLING_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 2, 1)
-
-
-def all_bitstring_energies(
-    h: IsingHamiltonian, indices: np.ndarray | None = None
-) -> np.ndarray:
+def all_bitstring_energies(h: IsingHamiltonian, indices: np.ndarray) -> np.ndarray:
     """Spin energies of basis states given by index, qubit 0 as the LSB.
 
-    Without ``indices`` this is the full 2^M table, in index order, built
-    by broadcast terms: the constant, then each nonzero field's signs over
-    the table viewed as (..., 2, 2^i), then each nonzero coupling's signs
-    over the view (..., 2, 2^(j-i-1), 2, 2^i). With ``indices`` each
-    state's energy is built from its own bits by the same terms in the
-    same order, so the two agree bit for bit and a state's value does not
-    depend on which other states are tabulated with it. Either way the
-    cost is O(nnz(J) * size), not O(M^2 * size). Refuses more than
-    ``MAX_TABLE_SIZE`` states, and an index outside [0, 2^M).
+    Each state's energy is built from its own bits by the same terms in
+    the same order (the constant, each nonzero field, then each nonzero
+    coupling), so a state's value does not depend on which other states
+    are tabulated with it; ``np.arange(1 << M)`` gives the full table in
+    index order. The cost is O(nnz(J) * len(indices)), not
+    O(M^2 * len(indices)). Refuses more than ``MAX_TABLE_SIZE`` states, and
+    an index outside [0, 2^M).
     """
     m = h.num_spins
-    size = 1 << m if indices is None else np.size(indices)
+    size = np.size(indices)
     if size > MAX_TABLE_SIZE:
         raise ValueError(f"refusing to tabulate {size} energies")
     rows, cols = np.nonzero(h.couplings)
     energies = np.full(size, h.constant)
-    if indices is None:
-        for i in range(m):
-            if h.fields[i] != 0.0:
-                view = energies.reshape(-1, 2, 1 << i)
-                view += h.fields[i] * _FIELD_SIGNS
-        for i, j in zip(rows, cols):
-            view = energies.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-            view += h.couplings[i, j] * _COUPLING_SIGNS
-        return energies
     idx = np.ravel(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= 1 << m):
         raise ValueError(f"indices must lie in [0, {1 << m}) for {m} spins")

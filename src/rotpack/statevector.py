@@ -13,7 +13,11 @@ The transverse-field regimes start in one basis state, so their first
 layer is built in closed form (``transverse_first_layer``): the cost
 layer is a global phase there, and the mixer gives a product state, which
 fills the state by doubling over the qubits with no gate pass. It too
-matches the gates to round-off.
+matches the gates to round-off. The cost layer is prepared once per
+trajectory too (``cost_phase``): its phases fill a table by doubling over
+the qubits from the Ising terms, so no energy table over the 2^M basis
+states is formed and no phase is an exp of its own. They match
+exp(-i gamma E) to round-off.
 
 A one-hot state keeps only the amplitudes in which every residue block
 has exactly one qubit set. That is all the xy ansatz reaches: its state
@@ -41,6 +45,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, build_mixer, gate_matrix, pair_matrix
 from .problem import MAX_TABLE_SIZE, RotamerProblem
+from .qubo import IsingHamiltonian
 
 __all__ = [
     "zero_state",
@@ -52,6 +57,7 @@ __all__ = [
     "one_hot_mixer",
     "transverse_mixer",
     "transverse_first_layer",
+    "cost_phase",
     "sample_state",
     "bits_from_indices",
     "invalid_mass",
@@ -284,33 +290,76 @@ def _opening_x(circuit: Circuit) -> list[int]:
     ]
 
 
+def cost_phase(h: IsingHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The cost layer exp(-i gamma H) on a dense state, prepared once.
+
+    Returns ``apply(state, gamma)``, which multiplies every amplitude of a
+    dense state in place by exp(-i gamma E(x)), E being ``h``'s energy of
+    basis state x, and returns the state. No energy table is formed and
+    no phase is an exp of its own: the phases fill a table this closure
+    owns by doubling over the qubits. T[0] = exp(-i gamma E(0)), and for
+    x < 2^q, T[2^q + x] = T[x] C_q(x), where C_q(x) is the phase of the
+    energy change from setting bit q,
+
+        2 h_q - 2 sum_{j != q} J_qj + 4 sum_{j < q, bit j of x set} J_jq .
+
+    C_q fills the table's half it multiplies into by the same doubling,
+    over the qubits j < q, from the phases of those terms. A layer takes
+    O(M^2) scalar exps and about 3 * 2^M complex products, and its phases
+    equal exp(-i gamma E) to round-off, not bit for bit.
+    """
+    m = h.num_spins
+    couplings = h.couplings + h.couplings.T
+    start = h.couplings.sum() - h.fields.sum() + h.constant
+    flips = 2.0 * h.fields - 2.0 * couplings.sum(axis=1)
+    table = np.empty(1 << m, dtype=complex)
+
+    def apply(state: np.ndarray, gamma: float) -> np.ndarray:
+        if state.shape != table.shape:
+            raise ValueError(f"the cost layer takes a state of {table.size} amplitudes")
+        flip = np.exp(-1j * gamma * flips)
+        pair = np.exp(-4j * gamma * h.couplings)
+        table[0] = np.exp(-1j * gamma * start)
+        for q in range(m):
+            n = 1 << q
+            half = table[n : 2 * n]
+            half[0] = flip[q]
+            for j in range(q):
+                np.multiply(half[: 1 << j], pair[j, q], out=half[1 << j : 2 << j])
+            half *= table[:n]
+        state *= table
+        return state
+
+    return apply
+
+
 def transverse_first_layer(
-    circuit: Circuit, energies: np.ndarray
+    circuit: Circuit, h: IsingHamiltonian
 ) -> Callable[[np.ndarray, float, float], np.ndarray]:
     """The first transverse-field QAOA layer in closed form, prepared once.
 
     ``circuit`` holds only ``x`` gates (``build_initial_state`` for the
     baseline and penalty regimes), so it prepares one basis state |b>;
-    ``energies`` is the cost table over all 2^M basis states. Returns
-    ``apply(state, gamma, beta)``, which fills a dense state in place with
-    the cost layer for gamma and then RX(2 beta) on every qubit, applied
-    to |b>, and returns the state. On |b> the cost layer is the global
-    phase exp(-i gamma E(b)) and the mixer gives the product of each
-    qubit's RX column for its bit, so the state is filled by doubling
-    over the qubits, qubit 0 first: about 2^M products and no allocation.
-    The amplitudes equal the gates' to round-off, not bit for bit.
+    ``h`` is the cost Hamiltonian. Returns ``apply(state, gamma, beta)``,
+    which fills a dense state in place with the cost layer for gamma and
+    then RX(2 beta) on every qubit, applied to |b>, and returns the state.
+    On |b> the cost layer is the global phase exp(-i gamma E(b)) and the
+    mixer gives the product of each qubit's RX column for its bit, so the
+    state is filled by doubling over the qubits, qubit 0 first: about 2^M
+    products and no allocation. The amplitudes equal the gates' to
+    round-off, not bit for bit.
     """
     m = circuit.num_qubits
     excited = _opening_x(circuit)
     if len(excited) != len(circuit.gates):
         raise ValueError("the first layer starts from a circuit of x gates only")
-    if np.shape(energies) != (1 << m,):
-        raise ValueError(f"the first layer takes a table of {1 << m} energies")
+    if h.num_spins != m:
+        raise ValueError(f"the first layer takes a Hamiltonian of {m} spins")
     start = 0
     for q in excited:
         start ^= 1 << q
     bits = [(start >> q) & 1 for q in range(m)]
-    energy = float(energies[start])
+    energy = float(h.energies_of_bits(np.array(bits))[0])
 
     def apply(state: np.ndarray, gamma: float, beta: float) -> np.ndarray:
         if state.shape != (1 << m,):
@@ -371,7 +420,11 @@ def sample_state(
     and each drawn position maps to its basis index; M is the bit length
     of the largest index, which sets the last block's last qubit.
     Deterministic for a given generator state. Probabilities are
-    renormalized to absorb float drift from long circuits.
+    renormalized to absorb float drift from long circuits. The draw is the
+    inverse CDF that ``rng.choice(size, shots, p=probs)`` computes, so it
+    takes the same numbers from ``rng`` and gives the same positions, but
+    without that call's O(size) checks of ``probs``; a state whose norm is
+    zero or not finite is refused.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -382,8 +435,13 @@ def sample_state(
         if basis.size != state.size:
             raise ValueError("state size does not match the basis")
     probs = np.abs(state.ravel()) ** 2
-    probs /= probs.sum()
-    positions = rng.choice(probs.size, size=shots, p=probs)
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"cannot sample a state of squared norm {total}")
+    probs /= total
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    positions = cdf.searchsorted(rng.random(shots), side="right")
     return bits_from_indices(positions if basis is None else basis[positions], m)
 
 

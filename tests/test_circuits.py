@@ -294,7 +294,7 @@ class TestCostUnitary:
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
         got = run_circuit(circ, initial=psi)
-        want = np.exp(-1j * gamma * all_bitstring_energies(h)) * psi
+        want = np.exp(-1j * gamma * all_bitstring_energies(h, np.arange(dim))) * psi
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 

@@ -116,7 +116,7 @@ def dense_reference(problem, params):
     """The xy ansatz state on all 2^M amplitudes."""
     blocks = problem.blocks
     h = ansatz_hamiltonian(problem, "xy")
-    table = all_bitstring_energies(h)
+    table = all_bitstring_energies(h, np.arange(1 << problem.num_qubits))
     state = sv.run_circuit(build_initial_state("xy", blocks))
     for gamma, beta in zip(params[0::2], params[1::2]):
         state *= np.exp(-1j * gamma * table)
@@ -308,7 +308,7 @@ def test_basis_cap_is_checked_before_allocating():
 def test_energies_at_indices_equal_the_table():
     problem = random_problem(3, 3, seed=2)
     h = ansatz_hamiltonian(problem, "penalty")
-    table = all_bitstring_energies(h)
+    table = all_bitstring_energies(h, np.arange(1 << problem.num_qubits))
     idx = np.random.default_rng(1).integers(0, table.size, size=40)
     assert np.array_equal(all_bitstring_energies(h, idx), table[idx])
 

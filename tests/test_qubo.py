@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import all_bitstrings, problems
 from rotpack.circuits import ansatz_hamiltonian
-from rotpack.problem import RotamerProblem, decode, random_problem, valid_mask
+from rotpack.problem import (
+    MAX_TABLE_SIZE,
+    RotamerProblem,
+    decode,
+    random_problem,
+    valid_mask,
+)
 from rotpack.qubo import (
     IsingHamiltonian,
     QuboMatrix,
@@ -201,22 +207,24 @@ class TestEnergyTable:
     def test_matches_batch_evaluation(self):
         p = random_problem(3, 3, seed=21)
         h = qubo_to_ising(build_qubo(p, penalty=default_penalty(p)))
-        table = all_bitstring_energies(h)
+        table = all_bitstring_energies(h, np.arange(1 << p.num_qubits))
         bits = all_bitstrings(p.num_qubits)
         assert np.allclose(table, h.energies_of_bits(bits), atol=1e-9)
 
     def test_index_convention_lsb(self):
         # energy of index 1 must be the energy of bit pattern (1, 0, ...)
         q = QuboMatrix(np.diag([1.0, 10.0]))
-        table = all_bitstring_energies(qubo_to_ising(q))
+        table = all_bitstring_energies(qubo_to_ising(q), np.arange(4))
         assert table[1] == pytest.approx(1.0)
         assert table[2] == pytest.approx(10.0)
         assert table[3] == pytest.approx(11.0)
 
     def test_size_guard(self):
         h = IsingHamiltonian(np.zeros((27, 27)), np.zeros(27), 0.0)
+        # one more index than MAX_TABLE_SIZE, as a view of a single zero
+        indices = np.broadcast_to(np.int64(0), (MAX_TABLE_SIZE + 1,))
         with pytest.raises(ValueError, match="refusing"):
-            all_bitstring_energies(h)
+            all_bitstring_energies(h, indices)
 
     @pytest.mark.parametrize("regime", ["penalty", "baseline"])
     @pytest.mark.parametrize(
@@ -232,11 +240,17 @@ class TestEnergyTable:
         ids=["nearest", "decay", "mixed", "m1", "m2", "m2-two-residues"],
     )
     def test_full_table_equals_per_index_path(self, problem, regime):
+        """Every state tabulated at once equals the states taken in another
+        order or one at a time, bit for bit, the sign of a zero included."""
         h = ansatz_hamiltonian(problem, regime)
         size = 1 << problem.num_qubits
-        table = all_bitstring_energies(h)
-        # bit for bit, the sign of a zero included
-        assert table.tobytes() == all_bitstring_energies(h, np.arange(size)).tobytes()
+        table = all_bitstring_energies(h, np.arange(size))
+        order = np.random.default_rng(size).permutation(size)
+        assert all_bitstring_energies(h, order).tobytes() == table[order].tobytes()
+        for i in {0, size // 3, size - 1}:
+            assert all_bitstring_energies(h, [i]).tobytes() == table[[i]].tobytes()
+        bits = all_bitstrings(problem.num_qubits)
+        np.testing.assert_allclose(table, h.energies_of_bits(bits), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_full_table_with_zero_fields(self, m):
@@ -244,8 +258,8 @@ class TestEnergyTable:
         couplings = np.triu(rng.normal(size=(m, m)), 1)
         for constant in (0.0, -0.0, 1.5):
             h = IsingHamiltonian(couplings, np.zeros(m), constant)
-            table = all_bitstring_energies(h)
-            want = all_bitstring_energies(h, np.arange(1 << m))
+            table = all_bitstring_energies(h, np.arange(1 << m))
+            want = all_bitstring_energies(h, np.arange(1 << m)[::-1])[::-1]
             assert table.tobytes() == want.tobytes()
             assert np.allclose(table, h.energies_of_bits(all_bitstrings(m)), atol=1e-12)
 
@@ -254,6 +268,6 @@ class TestEnergyTable:
         for bad in ([16], [17], [-1], [0, 3, 16], np.array([[2], [-5]])):
             with pytest.raises(ValueError, match=r"indices must lie in \[0, 16\)"):
                 all_bitstring_energies(h, np.array(bad))
-        table = all_bitstring_energies(h)
+        table = all_bitstring_energies(h, np.arange(16))
         assert np.array_equal(all_bitstring_energies(h, [0, 15]), table[[0, 15]])
         assert all_bitstring_energies(h, np.array([], dtype=np.int64)).size == 0

@@ -1,5 +1,5 @@
-"""Dense simulator: gate application, the prepared transverse-field mixer,
-sampling, and diagnostics."""
+"""Dense simulator: gate application, the prepared transverse-field mixer
+and cost layer, sampling, and diagnostics."""
 
 import math
 
@@ -20,11 +20,15 @@ from rotpack.circuits import (
 )
 from rotpack.driver import QaoaConfig, init_params, optimize
 from rotpack.problem import random_problem, valid_mask
-from rotpack.qubo import all_bitstring_energies
+from rotpack.qubo import IsingHamiltonian, all_bitstring_energies, default_penalty
 from rotpack.statevector import (
     apply_gate,
     bits_from_indices,
+    cost_phase,
     invalid_mass,
+    one_hot_basis,
+    one_hot_mixer,
+    one_hot_state,
     run_circuit,
     sample_state,
     transverse_first_layer,
@@ -257,7 +261,9 @@ def assert_driver_matches_gates(problem, regime, p, monkeypatch):
     optimize(problem, config, trajectory_id=4)
     rng = generator(trajectory_seed(2, 4))
     x0 = init_params(p, rng)
-    table = all_bitstring_energies(ansatz_hamiltonian(problem, regime))
+    table = all_bitstring_energies(
+        ansatz_hamiltonian(problem, regime), np.arange(1 << problem.num_qubits)
+    )
     want = run_circuit(build_initial_state(regime, problem.blocks))
     for gamma, beta in zip(x0[0::2], x0[1::2]):
         want *= np.exp(-1j * gamma * table)
@@ -279,6 +285,18 @@ FIRST_LAYER_PROBLEMS = [
 ]
 
 
+def random_ising(num_spins: int, seed: int) -> IsingHamiltonian:
+    """An Ising Hamiltonian with every coupling, field and the constant drawn."""
+    rng = np.random.default_rng(seed)
+    couplings = np.triu(rng.normal(size=(num_spins, num_spins)), 1)
+    return IsingHamiltonian(couplings, rng.normal(size=num_spins), rng.normal())
+
+
+def energy_table(h: IsingHamiltonian) -> np.ndarray:
+    """Every basis state's energy, from its bits, in index order."""
+    return h.energies_of_bits(all_bitstrings(h.num_spins))
+
+
 class TestTransverseFirstLayer:
     @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4], ids=str)
     @pytest.mark.parametrize(
@@ -287,12 +305,13 @@ class TestTransverseFirstLayer:
     def test_matches_gate_by_gate(self, excited, beta):
         m, gamma = 7, 0.37
         circuit = Circuit(m, tuple(Gate("x", (q,)) for q in excited))
-        energies = np.random.default_rng(3).normal(size=1 << m)
+        h = random_ising(m, seed=3)
+        energies = energy_table(h)
         want = run_circuit(circuit)
         want *= np.exp(-1j * gamma * energies)
         gate_by_gate_mixer(want, beta)
         state = np.full(1 << m, np.nan, dtype=complex)
-        layer = transverse_first_layer(circuit, energies)
+        layer = transverse_first_layer(circuit, h)
         assert layer(state, gamma, beta) is state
         np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
         # a second fill of the same buffer
@@ -304,21 +323,22 @@ class TestTransverseFirstLayer:
 
     def test_keeps_the_circuit_phase(self):
         circuit = Circuit(2, (Gate("x", (1,)),), phase=0.8)
-        energies = np.arange(4.0)
-        state = transverse_first_layer(circuit, energies)(np.empty(4, complex), 0.3, 0.2)
+        h = random_ising(2, seed=4)
+        state = transverse_first_layer(circuit, h)(np.empty(4, complex), 0.3, 0.2)
         want = run_circuit(circuit)
-        want *= np.exp(-0.3j * energies)
+        want *= np.exp(-0.3j * energy_table(h))
         gate_by_gate_mixer(want, 0.2)
         np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="x gates only"):
             transverse_first_layer(
-                Circuit(2, (Gate("x", (0,)), Gate("rx", (1,), (0.1,)))), np.zeros(4)
+                Circuit(2, (Gate("x", (0,)), Gate("rx", (1,), (0.1,)))),
+                random_ising(2, seed=0),
             )
-        with pytest.raises(ValueError, match="table of 4 energies"):
-            transverse_first_layer(Circuit(2, ()), np.zeros(8))
-        layer = transverse_first_layer(Circuit(2, ()), np.zeros(4))
+        with pytest.raises(ValueError, match="Hamiltonian of 2 spins"):
+            transverse_first_layer(Circuit(2, ()), random_ising(3, seed=0))
+        layer = transverse_first_layer(Circuit(2, ()), random_ising(2, seed=0))
         for state in (zero_state(1), zero_state(3), zero_state(2).reshape(2, 2)):
             with pytest.raises(ValueError, match="fills a state of 4 amplitudes"):
                 layer(state, 0.1, 0.2)
@@ -330,6 +350,82 @@ class TestTransverseFirstLayer:
         residues, rotamers, seed = shape
         problem = random_problem(residues, rotamers, seed=seed)
         assert_driver_matches_gates(problem, regime, p, monkeypatch)
+
+
+def zero_field_ising(problem) -> IsingHamiltonian:
+    """An instance's bare couplings and constant, with every field zero."""
+    h = ansatz_hamiltonian(problem, "baseline")
+    return IsingHamiltonian(h.couplings, np.zeros(h.num_spins), h.constant)
+
+
+COST_PROBLEM = random_problem(4, 3, seed=21)
+
+# (name, Hamiltonian) over the shapes a dense cost layer meets
+COST_HAMILTONIANS = [
+    ("baseline", ansatz_hamiltonian(COST_PROBLEM, "baseline")),
+    ("penalty", ansatz_hamiltonian(COST_PROBLEM, "penalty")),
+    (
+        "penalty-double",
+        ansatz_hamiltonian(
+            COST_PROBLEM, "penalty", 2.0 * default_penalty(COST_PROBLEM)
+        ),
+    ),
+    ("nearest", ansatz_hamiltonian(random_problem(5, 3, seed=22), "penalty")),
+    (
+        "long-range",
+        ansatz_hamiltonian(
+            random_problem(4, 3, seed=23, nearest_neighbor_only=False, decay=0.5),
+            "penalty",
+        ),
+    ),
+    (
+        "mixed",
+        ansatz_hamiltonian(random_problem(4, (1, 4, 2, 3), seed=24), "baseline"),
+    ),
+    ("zero-fields", zero_field_ising(random_problem(3, 3, seed=25))),
+    ("m1", ansatz_hamiltonian(random_problem(1, 1, seed=26), "penalty")),
+    ("m2", ansatz_hamiltonian(random_problem(1, 2, seed=27), "penalty")),
+    ("m2-two-residues", ansatz_hamiltonian(random_problem(2, 1, seed=28), "baseline")),
+]
+
+
+class TestCostPhase:
+    @pytest.mark.parametrize("gamma", [-2.9, 0.0, 0.037, 2.3], ids=str)
+    @pytest.mark.parametrize(
+        "h", [h for _, h in COST_HAMILTONIANS], ids=[n for n, _ in COST_HAMILTONIANS]
+    )
+    def test_matches_the_exp_of_the_energy_table(self, h, gamma):
+        m = h.num_spins
+        table = all_bitstring_energies(h, np.arange(1 << m))
+        state = random_state(m, seed=m)
+        want = np.exp(-1j * gamma * table) * state
+        layer = cost_phase(h)
+        assert layer(state, gamma) is state
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-10)
+        # a second layer on the same preparation
+        layer(state, -0.5 * gamma)
+        want *= np.exp(0.5j * gamma * table)
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-10)
+
+    def test_refuses_a_state_of_another_shape(self):
+        layer = cost_phase(random_ising(3, seed=1))
+        for state in (zero_state(2), zero_state(4), zero_state(3).reshape(2, 4)):
+            with pytest.raises(ValueError, match="takes a state of 8 amplitudes"):
+                layer(state, 0.3)
+
+    @pytest.mark.parametrize("regime", ["baseline", "penalty", "xy"])
+    def test_dense_trajectory_tabulates_no_energies(self, regime, monkeypatch):
+        tabulated = []
+
+        def counting_table(h, indices):
+            tabulated.append(np.size(indices))
+            return all_bitstring_energies(h, indices)
+
+        monkeypatch.setattr("rotpack.driver.all_bitstring_energies", counting_table)
+        config = QaoaConfig(regime=regime, p=2, seed=3, max_iterations=3)
+        optimize(random_problem(3, 3, seed=5), config)
+        # the one-hot state keeps its profile over the 27 valid configurations
+        assert tabulated == ([27] if regime == "xy" else [])
 
 
 class TestSampling:
@@ -363,6 +459,50 @@ class TestSampling:
         ones = int(bits.sum())
         sigma = math.sqrt(shots * 0.25)
         assert abs(ones - shots / 2.0) < 4.0 * sigma
+
+    @staticmethod
+    def assert_draws_equal_choice(state, basis=None, seeds=range(5), shots=100):
+        """Bits, and the generator state after, equal those of the
+        ``Generator.choice`` draw the sampler replaces."""
+        probs = np.abs(state.ravel()) ** 2
+        probs /= probs.sum()
+        m = state.size.bit_length() - 1 if basis is None else int(basis[-1]).bit_length()
+        for seed in seeds:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_state(state, shots, got_rng, basis)
+            positions = want_rng.choice(probs.size, size=shots, p=probs)
+            want = bits_from_indices(positions if basis is None else basis[positions], m)
+            assert np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()
+
+    def test_draws_equal_choice_on_a_dense_state(self):
+        self.assert_draws_equal_choice(random_state(18, seed=18), shots=180)
+
+    def test_draws_equal_choice_on_a_one_hot_state(self):
+        problem = random_problem(4, (3, 2, 4, 2), seed=6)
+        state = one_hot_state(build_initial_state("xy", problem.blocks), problem.blocks)
+        mix = one_hot_mixer(problem.blocks)
+        for beta in (0.7, -0.3):
+            state *= np.exp(-0.4j * np.arange(state.size)).reshape(state.shape)
+            mix(state, beta)
+        self.assert_draws_equal_choice(state, one_hot_basis(problem.blocks))
+
+    def test_draws_equal_choice_with_exact_zeros(self):
+        state = random_state(8, seed=8)
+        # zeros at both ends and in runs and strides between
+        state[:5] = state[40:90] = state[::7] = state[-9:] = 0.0
+        self.assert_draws_equal_choice(state, seeds=range(40), shots=500)
+
+    def test_refuses_a_state_of_no_or_non_finite_norm(self):
+        nan, inf = np.zeros(4, complex), np.zeros(4, complex)
+        nan[1], inf[2] = np.nan, np.inf
+        # each amplitude finite, but the squared norm overflows
+        huge = np.array([1e200, 0.0], dtype=complex)
+        for state in (np.zeros(4, complex), nan, inf, huge):
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="cannot sample a state"
+            ):
+                sample_state(state, 3, np.random.default_rng(0))
 
     def test_empirical_distribution_close_to_exact(self):
         problem = random_problem(2, 2, seed=19)

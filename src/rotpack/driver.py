@@ -11,16 +11,19 @@ execute whole.
 Each backend simulates the smallest state the regime reaches, prepared
 once per trajectory so that an iteration computes only what its angles
 change. On the statevector backend an ``xy`` ansatz runs as the one-hot
-state and the other regimes as the dense one, whose first layer is built
-in closed form from the basis-state start
-(``statevector.transverse_first_layer``) and whose cost layers multiply
-in phases built by doubling over the qubits from the Ising terms
-(``statevector.cost_phase``), with no energy table; the one-hot state's
-cost layer is the exp of its energies (``qubo.all_bitstring_energies``
-on its basis). On the MPS backend ``mps.ansatz_chain`` runs every regime
-from the tables of its Ising Hamiltonian, on sites of bit patterns: one
-site per residue for ``xy``, runs of at most four qubits of one block
-for the others. Every route samples the full qubit register.
+state, whose cost layer is the exp of its energies
+(``qubo.all_bitstring_energies`` on its basis), and the other regimes as
+the dense one, through one closure (``statevector.transverse_ansatz``)
+that fills the iteration's state: it builds the first layer in closed
+form from the basis-state start, multiplies in each later cost layer's
+phases, built by doubling over the qubits from the Ising terms with no
+energy table (``statevector.cost_phase``), and mixes with real RY
+factors in the frame S|psi>, S = diag(1, i) on every qubit, which the
+state leaves once, before it is sampled. On the MPS backend
+``mps.ansatz_chain`` runs every regime from the tables of its Ising
+Hamiltonian, on sites of bit patterns: one site per residue for ``xy``,
+runs of at most four qubits of one block for the others. Every route
+samples the full qubit register.
 
 The CVaR objective is evaluated under the Hamiltonian the ansatz actually
 evolves (penalized in the penalty regime, bare otherwise), while hit
@@ -305,34 +308,23 @@ def optimize(
             state = np.empty_like(state0)
             phase = np.empty_like(state)
 
-            def cost(state: np.ndarray, gamma: float) -> None:
-                np.multiply(-1j * gamma, phase_profile, out=phase)
-                np.multiply(state, np.exp(phase, out=phase), out=state)
-
-            def prepare(params: np.ndarray) -> list[list[float]]:
-                """Reset the state; return the layers still to apply."""
+            def evolve(params: np.ndarray) -> np.ndarray:
                 np.copyto(state, state0)
-                return angle_pairs(params)
+                for gamma, beta in angle_pairs(params):
+                    np.multiply(-1j * gamma, phase_profile, out=phase)
+                    np.multiply(state, np.exp(phase, out=phase), out=state)
+                    mix(state, beta)
+                return state
 
         else:
             basis = None
-            cost = sv.cost_phase(h_opt)
-            mix = sv.transverse_mixer(m)
-            # the start is a basis state: the first layer has a closed form
-            first_layer = sv.transverse_first_layer(init_circuit, h_opt)
-            state = np.empty(1 << m, dtype=complex)
-
-            def prepare(params: np.ndarray) -> list[list[float]]:
-                """Fill the state with the first layer; return the others."""
-                (gamma, beta), *rest = angle_pairs(params)
-                first_layer(state, gamma, beta)
-                return rest
+            evolve = functools.partial(
+                sv.transverse_ansatz(init_circuit, h_opt),
+                np.empty(1 << m, dtype=complex),
+            )
 
         def run_iteration(params: np.ndarray) -> tuple[np.ndarray, None]:
-            for gamma, beta in prepare(params):
-                cost(state, gamma)
-                mix(state, beta)
-            return sv.sample_state(state, shots, rng, basis), None
+            return sv.sample_state(evolve(params), shots, rng, basis), None
 
     else:
         evolve = ansatz_chain(problem, h_opt, regime, max_bond=config.max_bond)

@@ -416,9 +416,10 @@ def ansatz_chain(
     if regime == "xy":
         sites = [np.arange(off, off + n) for off, n in problem.blocks]
         patterns = [np.eye(q.size, dtype=np.uint8) for q in sites]
-        starts = [one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)])
-                  for n in problem.rotamer_counts]
-        rings = {n: build_mixer("xy", [(0, n)], 0.0).gates for n in set(problem.rotamer_counts)}
+        counts = set(problem.rotamer_counts)
+        start_of = {n: one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for n in counts}
+        starts = [start_of[n] for n in problem.rotamer_counts]
+        rings = {n: build_mixer("xy", [(0, n)], 0.0).gates for n in counts}
 
         def mixers(beta: float) -> list[np.ndarray]:
             # an xy gate rotates span{|01>, |10>}, the same way for either qubit order

@@ -4,20 +4,25 @@ A dense state is one complex array of length 2^M with qubit 0 as the
 least-significant index bit. Gates act by in-place mixing of paired
 amplitude slices through reshaped views; no 2^M x 2^M matrix is ever
 formed, which keeps the high-twenties qubit range workable.
-The transverse-field mixer is prepared once per trajectory
-(``transverse_mixer``): it applies RX(2 beta) to up to ``MIXER_GROUP``
-qubits at once, as one factor per group (the Kronecker power of RX), so a
-layer passes over the state a quarter as often as gate by gate. Its
-amplitudes match the gates' to round-off, not bit for bit.
-The transverse-field regimes start in one basis state, so their first
-layer is built in closed form (``transverse_first_layer``): the cost
-layer is a global phase there, and the mixer gives a product state, which
-fills the state by doubling over the qubits with no gate pass. It too
-matches the gates to round-off. The cost layer is prepared once per
+The baseline and penalty ansatz is prepared once per trajectory
+(``transverse_ansatz``) and runs in real arithmetic. RX(2 beta) =
+S^dag RY(2 beta) S with S = diag(1, i) and RY real, and the cost layer is
+diagonal, so it commutes with S: the layers run on S|psi>, and the state
+leaves that frame once per circuit, by one multiply with
+S^dag = diag((-i)^popcount(x)); a circuit of one layer never enters it. The first layer is built in closed form,
+since the start is a basis state: the cost layer is a global phase
+there, and the mixer gives a product state, which fills the state by
+doubling over the qubits with no gate pass. Each later mixer applies
+RY(2 beta) to ``MIXER_GROUP`` qubits at once, one real matmul by the
+Kronecker power of RY per group on the state's float64 view, so a layer
+passes over the state a third as often as gate by gate, at half the
+products a complex factor takes. The cost layer is prepared once per
 trajectory too (``cost_phase``): its phases fill a table by doubling over
 the qubits from the Ising terms, so no energy table over the 2^M basis
 states is formed and no phase is an exp of its own. They match
-exp(-i gamma E) to round-off.
+exp(-i gamma E) to round-off, and the ansatz's amplitudes match the
+gates' to round-off, not bit for bit. Both refuse a register of more
+than ``MAX_TABLE_SIZE`` amplitudes before allocating anything.
 
 A one-hot state keeps only the amplitudes in which every residue block
 has exactly one qubit set. That is all the xy ansatz reaches: its state
@@ -43,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, build_mixer, gate_matrix, pair_matrix
+from .circuits import Circuit, Gate, angle_pairs, build_mixer, gate_matrix, pair_matrix
 from .problem import MAX_TABLE_SIZE, RotamerProblem
 from .qubo import IsingHamiltonian
 
@@ -55,9 +60,8 @@ __all__ = [
     "one_hot_state",
     "apply_one_hot_gate",
     "one_hot_mixer",
-    "transverse_mixer",
-    "transverse_first_layer",
     "cost_phase",
+    "transverse_ansatz",
     "sample_state",
     "bits_from_indices",
     "invalid_mass",
@@ -65,10 +69,14 @@ __all__ = [
 
 
 # Qubits per Kronecker factor of the transverse-field mixer. A group of k
-# costs 2^k products per amplitude in one pass over the state; on one core
-# at M = 18, k = 3 to 5 each took about 5.5 ms per layer, k = 2 twice that
-# and k = 6 a third more.
-MIXER_GROUP = 4
+# costs 2^k real products per float in one pass over the state; on one core
+# at M = 18, k = 3 took 3.5 to 3.9 ms per layer, k = 4 and 5 about 4.3 ms
+# and k = 2 5.4 ms.
+MIXER_GROUP = 3
+
+# The most floats of a row one matmul of the mixer takes: at M = 18 one
+# 8 x 65536 product took 0.69 ms, eight 8 x 8192 ones 0.43 ms.
+MIXER_BLOCK = 8192
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -240,48 +248,6 @@ def one_hot_mixer(
     return apply
 
 
-def transverse_mixer(num_qubits: int) -> Callable[[np.ndarray, float], np.ndarray]:
-    """The transverse-field mixer on a dense state, prepared once.
-
-    Returns ``apply(state, beta)``, which applies RX(2 beta) to every
-    qubit of a dense state in place, as the gates ``build_mixer`` emits
-    for the baseline and penalty regimes do, and returns the state.
-    Consecutive qubits are taken ``MIXER_GROUP`` at a time; each group of
-    k is one matmul by the k-fold Kronecker power of RX (a symmetric
-    matrix), alternating between the state and a scratch array this
-    mixer owns, so a layer allocates nothing of the state's size. Each
-    amplitude sums 2^k products where the gates sum two at a time, so the
-    result equals ``apply_gate``'s to round-off, not bit for bit.
-    """
-    # view the state as (higher qubits, the group's k qubits, lower qubits)
-    steps = []
-    for lo in range(0, num_qubits, MIXER_GROUP):
-        k = min(MIXER_GROUP, num_qubits - lo)
-        steps.append((k, (1 << (num_qubits - lo - k), 1 << k, 1 << lo)))
-    sizes = {k for k, _ in steps}
-    scratch = np.empty(1 << num_qubits, dtype=complex)
-
-    def apply(state: np.ndarray, beta: float) -> np.ndarray:
-        if state.shape != scratch.shape:
-            raise ValueError(f"the mixer takes a state of {scratch.size} amplitudes")
-        rx = gate_matrix(Gate("rx", (0,), (2.0 * beta,)))
-        factors = {k: functools.reduce(np.kron, [rx] * k) for k in sizes}
-        src, dst = state, scratch
-        for k, shape in steps:
-            if shape[2] == 1:
-                # no lower qubits: multiply the rows (the factor is symmetric)
-                rows = shape[:2]
-                np.matmul(src.reshape(rows), factors[k], out=dst.reshape(rows))
-            else:
-                np.matmul(factors[k], src.reshape(shape), out=dst.reshape(shape))
-            src, dst = dst, src
-        if src is not state:
-            np.copyto(state, src)
-        return state
-
-    return apply
-
-
 def _opening_x(circuit: Circuit) -> list[int]:
     """Qubits of the ``x`` gates a circuit opens with: the qubits its
     starting configuration sets."""
@@ -306,9 +272,15 @@ def cost_phase(h: IsingHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]
     C_q fills the table's half it multiplies into by the same doubling,
     over the qubits j < q, from the phases of those terms. A layer takes
     O(M^2) scalar exps and about 3 * 2^M complex products, and its phases
-    equal exp(-i gamma E) to round-off, not bit for bit.
+    equal exp(-i gamma E) to round-off, not bit for bit. A register of
+    more than ``MAX_TABLE_SIZE`` amplitudes is refused before the table
+    is allocated.
     """
     m = h.num_spins
+    if 1 << m > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"a dense state of {1 << m} amplitudes exceeds the limit of {MAX_TABLE_SIZE}"
+        )
     couplings = h.couplings + h.couplings.T
     start = h.couplings.sum() - h.fields.sum() + h.constant
     flips = 2.0 * h.fields - 2.0 * couplings.sum(axis=1)
@@ -333,47 +305,122 @@ def cost_phase(h: IsingHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]
     return apply
 
 
-def transverse_first_layer(
+def transverse_ansatz(
     circuit: Circuit, h: IsingHamiltonian
-) -> Callable[[np.ndarray, float, float], np.ndarray]:
-    """The first transverse-field QAOA layer in closed form, prepared once.
+) -> Callable[[np.ndarray, Sequence[float]], np.ndarray]:
+    """The baseline and penalty QAOA ansatz on a dense state, prepared once.
 
     ``circuit`` holds only ``x`` gates (``build_initial_state`` for the
     baseline and penalty regimes), so it prepares one basis state |b>;
-    ``h`` is the cost Hamiltonian. Returns ``apply(state, gamma, beta)``,
-    which fills a dense state in place with the cost layer for gamma and
-    then RX(2 beta) on every qubit, applied to |b>, and returns the state.
-    On |b> the cost layer is the global phase exp(-i gamma E(b)) and the
-    mixer gives the product of each qubit's RX column for its bit, so the
-    state is filled by doubling over the qubits, qubit 0 first: about 2^M
-    products and no allocation. The amplitudes equal the gates' to
-    round-off, not bit for bit.
+    ``h`` is the cost Hamiltonian. Returns ``evolve(state, params)``,
+    which fills ``state`` in place with the ansatz at the 2p angles
+    (gamma_1, beta_1, ..., gamma_p, beta_p), each layer the cost layer
+    exp(-i gamma H) and then RX(2 beta) on every qubit, applied to |b>,
+    and returns it. ``state`` must be a C-contiguous complex128 array of
+    2^M amplitudes. A register of more than ``MAX_TABLE_SIZE`` amplitudes
+    is refused here, before anything is allocated.
+
+    RX(2 beta) = S^dag RY(2 beta) S with S = diag(1, i) and RY real, and
+    the cost layer commutes with S, so the layers run on S|psi> and the
+    state leaves that frame once, at the end. The first layer is built in
+    closed form: on |b> the cost layer is the global phase
+    exp(-i gamma E(b)) and the mixer gives the product of each qubit's RX
+    column for its bit, the second entry times i in the frame, which
+    fills the state by doubling over the qubits. A circuit of one layer
+    stays out of the frame: its i factors and the S^dag pass are left
+    out. Each later layer is
+    ``cost_phase``'s, then RY(2 beta) on ``MIXER_GROUP`` qubits at a
+    time, one real matmul by the Kronecker power of RY per group on the
+    state's float64 view, which carries each amplitude's real and
+    imaginary parts alike. The mixer alternates between the state and a
+    scratch array this closure owns; at the end the scratch array is
+    filled with S^dag = diag((-i)^popcount(x)) by doubling, and the state
+    multiplied by it. Each amplitude sums 2^k products where the gates
+    sum two at a time, so the result equals the gates' to round-off, not
+    bit for bit.
     """
     m = circuit.num_qubits
     excited = _opening_x(circuit)
     if len(excited) != len(circuit.gates):
-        raise ValueError("the first layer starts from a circuit of x gates only")
+        raise ValueError("the ansatz starts from a circuit of x gates only")
     if h.num_spins != m:
-        raise ValueError(f"the first layer takes a Hamiltonian of {m} spins")
+        raise ValueError(f"the ansatz takes a Hamiltonian of {m} spins")
     start = 0
     for q in excited:
         start ^= 1 << q
     bits = [(start >> q) & 1 for q in range(m)]
     energy = float(h.energies_of_bits(np.array(bits))[0])
+    # refuses a register past MAX_TABLE_SIZE before anything of its size exists
+    cost = cost_phase(h)
+    # view the float state as (higher qubits, the group's k qubits, lower
+    # qubits with each amplitude's real and imaginary parts), the last axis
+    # cut into blocks of at most MIXER_BLOCK floats
+    steps = []
+    for lo in range(0, m, MIXER_GROUP):
+        k = min(MIXER_GROUP, m - lo)
+        block = min(2 << lo, MIXER_BLOCK)
+        steps.append((k, (1 << (m - lo - k), 1 << k, (2 << lo) // block, block)))
+    scratch = np.empty(1 << m, dtype=complex)
 
-    def apply(state: np.ndarray, gamma: float, beta: float) -> np.ndarray:
-        if state.shape != (1 << m,):
-            raise ValueError(f"the first layer fills a state of {1 << m} amplitudes")
+    def mix(state: np.ndarray, beta: float) -> None:
+        c, s = math.cos(beta), math.sin(beta)
+        ry = np.array([[c, -s], [s, c]])
+        # powers[k - 1]: RY(2 beta) on each of k qubits
+        powers = list(itertools.accumulate([ry] * MIXER_GROUP, np.kron))
+        src, dst = state.view(float), scratch.view(float)
+        for k, shape in steps:
+            if shape[3] == 2:
+                # qubit 0 is in the group: multiply the rows, re and im alike
+                rows = (shape[0], 2 * shape[1])
+                lowest = np.kron(powers[k - 1], np.eye(2)).T
+                np.matmul(src.reshape(rows), lowest, out=dst.reshape(rows))
+            else:
+                # the group's axis against each block of columns
+                blocks = (0, 2, 1, 3)
+                np.matmul(
+                    powers[k - 1],
+                    src.reshape(shape).transpose(blocks),
+                    out=dst.reshape(shape).transpose(blocks),
+                )
+            src, dst = dst, src
+        if len(steps) % 2:
+            np.copyto(state, scratch)
+
+    def evolve(state: np.ndarray, params: Sequence[float]) -> np.ndarray:
+        if not (
+            isinstance(state, np.ndarray)
+            and state.dtype == np.complex128
+            and state.shape == scratch.shape
+            and state.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"the ansatz fills a C-contiguous complex128 state of {scratch.size}"
+                " amplitudes"
+            )
+        (gamma, beta), *rest = angle_pairs(params)
         rx = gate_matrix(Gate("rx", (0,), (2.0 * beta,)))
+        # a one-layer circuit never enters the frame
+        frame = 1j if rest else 1.0
         state[0] = np.exp(1j * (circuit.phase - gamma * energy))
         for q, b in enumerate(bits):
             n = 1 << q
             # amplitudes with qubit q set, then those with it clear
-            np.multiply(state[:n], rx[1, b], out=state[n : 2 * n])
+            np.multiply(state[:n], frame * rx[1, b], out=state[n : 2 * n])
             state[:n] *= rx[0, b]
+        if not rest:
+            return state
+        for gamma, beta in rest:
+            cost(state, gamma)
+            mix(state, beta)
+        # leave the frame: S^dag multiplies by -i per qubit set
+        scratch[0] = 1.0
+        for q in range(m):
+            n = 1 << q
+            np.multiply(scratch[:n], -1j, out=scratch[n : 2 * n])
+        state *= scratch
         return state
 
-    return apply
+    return evolve
 
 
 def one_hot_state(circuit: Circuit, blocks: Sequence[tuple[int, int]]) -> np.ndarray:

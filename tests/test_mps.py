@@ -370,6 +370,34 @@ class TestResidueChain:
         with pytest.raises(ValueError, match="nonempty vector"):
             MpsState([[1.0], []])
 
+    def test_builds_each_start_once_per_rotamer_count(self, monkeypatch):
+        problem = random_problem(5, (3, 2, 3, 4, 2), seed=9)
+        built, chains = [], []
+
+        def counting_start(circuit, blocks):
+            built.append(blocks)
+            return one_hot_state(circuit, blocks)
+
+        class RecordingState(MpsState):
+            def __init__(self, sites, **kwargs):
+                chains.append(sites)
+                super().__init__(sites, **kwargs)
+
+        monkeypatch.setattr("rotpack.mps.one_hot_state", counting_start)
+        monkeypatch.setattr("rotpack.mps.MpsState", RecordingState)
+        params = [0.4, -0.7, 0.2, 0.5]
+        evolve = ansatz_chain(problem, ansatz_hamiltonian(problem, "xy"), "xy")
+        first, second = evolve(params), evolve(params)
+        assert sorted(built) == [[(0, 2)], [(0, 3)], [(0, 4)]]
+        # each site starts in its residue's own one-hot start, bit for bit
+        for starts in chains:
+            for start, n in zip(starts, problem.rotamer_counts):
+                want = one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)])
+                assert start.dtype == want.dtype and start.tobytes() == want.tobytes()
+        # and the shared starts come through a circuit unchanged
+        for a, b in zip(first.tensors, second.tensors):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 # instances the qubit chain is checked on: nearest neighbors only, mixed
 # rotamer counts, and couplings past the next residue

@@ -1,7 +1,8 @@
-"""Dense simulator: gate application, the prepared transverse-field mixer
+"""Dense simulator: gate application, the prepared transverse-field ansatz
 and cost layer, sampling, and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rotpack.circuits import (
     gate_matrix,
 )
 from rotpack.driver import QaoaConfig, init_params, optimize
-from rotpack.problem import random_problem, valid_mask
+from rotpack.problem import MAX_TABLE_SIZE, random_problem, valid_mask
 from rotpack.qubo import IsingHamiltonian, all_bitstring_energies, default_penalty
 from rotpack.statevector import (
     apply_gate,
@@ -31,8 +32,7 @@ from rotpack.statevector import (
     one_hot_state,
     run_circuit,
     sample_state,
-    transverse_first_layer,
-    transverse_mixer,
+    transverse_ansatz,
     zero_state,
 )
 
@@ -179,8 +179,20 @@ class TestRunCircuit:
         assert np.linalg.norm(state) == pytest.approx(1.0)
 
 
-# every remainder of M modulo the mixer's group size, with one to three groups
+# every remainder of M modulo the mixer's group size, with one to five groups
 MIXER_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 13]
+
+
+def random_ising(num_spins: int, seed: int) -> IsingHamiltonian:
+    """An Ising Hamiltonian with every coupling, field and the constant drawn."""
+    rng = np.random.default_rng(seed)
+    couplings = np.triu(rng.normal(size=(num_spins, num_spins)), 1)
+    return IsingHamiltonian(couplings, rng.normal(size=num_spins), rng.normal())
+
+
+def energy_table(h: IsingHamiltonian) -> np.ndarray:
+    """Every basis state's energy, from its bits, in index order."""
+    return h.energies_of_bits(all_bitstrings(h.num_spins))
 
 
 def gate_by_gate_mixer(state: np.ndarray, beta: float) -> np.ndarray:
@@ -191,53 +203,97 @@ def gate_by_gate_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     return state
 
 
+def gate_by_gate_ansatz(circuit: Circuit, h: IsingHamiltonian, params) -> np.ndarray:
+    """The transverse-field ansatz from ``circuit``'s start: per layer, the
+    exp of the energy table, then the mixer's RX gates one at a time."""
+    table = energy_table(h)
+    state = run_circuit(circuit)
+    for gamma, beta in zip(params[0::2], params[1::2]):
+        state *= np.exp(-1j * gamma * table)
+        gate_by_gate_mixer(state, beta)
+    return state
+
+
+def assert_fills_like_the_gates(circuit, h, params, refill) -> None:
+    """``transverse_ansatz`` fills a buffer of NaNs as the gates do, and
+    fills it again alike after another circuit left it dirty."""
+    evolve = transverse_ansatz(circuit, h)
+    state = np.full(1 << circuit.num_qubits, np.nan, dtype=complex)
+    assert evolve(state, params) is state
+    np.testing.assert_allclose(
+        state, gate_by_gate_ansatz(circuit, h, params), rtol=0, atol=1e-12
+    )
+    first = state.copy()
+    evolve(state, refill)
+    assert not np.array_equal(state, first)
+    evolve(state, params)
+    assert np.array_equal(state, first)
+
+
 class TestTransverseMixer:
     @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4, 4.0], ids=str)
     @pytest.mark.parametrize("m", MIXER_WIDTHS)
     def test_matches_gate_by_gate(self, m, beta):
-        state = random_state(m, seed=m)
-        want = gate_by_gate_mixer(state.copy(), beta)
-        mix = transverse_mixer(m)
-        assert mix(state, beta) is state
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
-        # a second layer on the same preparation
-        assert mix(state, -beta) is state
-        gate_by_gate_mixer(want, -beta)
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+        # the first layer is built in closed form: the later two run the mixer
+        circuit = Circuit(m, (Gate("x", (m // 2,)),))
+        params = [0.37, 0.6, -0.21, beta, 0.13, -beta]
+        assert_fills_like_the_gates(circuit, random_ising(m, seed=m), params, [0.1] * 6)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 9, 18])
+    def test_matches_gates_at_every_depth(self, m, p):
+        rng = np.random.default_rng(10 * m + p)
+        excited = sorted({int(q) for q in rng.integers(0, m, size=3)})
+        circuit = Circuit(m, tuple(Gate("x", (q,)) for q in excited), phase=0.4)
+        params = list(rng.uniform(-2.0, 2.0, size=2 * p))
+        refill = list(rng.uniform(-2.0, 2.0, size=2 * p))
+        assert_fills_like_the_gates(circuit, random_ising(m, seed=m), params, refill)
 
     def test_refuses_a_state_of_another_shape(self):
-        mix = transverse_mixer(3)
+        evolve = transverse_ansatz(Circuit(3, ()), random_ising(3, seed=1))
         for state in (zero_state(2), zero_state(4), zero_state(3).reshape(2, 4)):
-            with pytest.raises(ValueError, match="takes a state of 8 amplitudes"):
-                mix(state, 0.3)
+            with pytest.raises(ValueError, match="complex128 state of 8 amplitudes"):
+                evolve(state, [0.3, 0.2])
+
+    def test_refuses_a_state_the_float_view_cannot_take(self):
+        evolve = transverse_ansatz(Circuit(3, ()), random_ising(3, seed=1))
+        for state in (
+            np.zeros(8),
+            np.zeros(8, dtype=np.complex64),
+            zero_state(4)[::2],
+            zero_state(3).tolist(),
+        ):
+            with pytest.raises(
+                ValueError, match="C-contiguous complex128 state of 8 amplitudes"
+            ):
+                evolve(state, [0.3, 0.2])
 
     @pytest.mark.parametrize("regime", ["baseline", "penalty"])
     def test_trajectory_prepares_its_mixer_once(self, regime, monkeypatch):
-        # 3 iterations at p=3: the first layer of each in closed form, so 6
-        # mixer layers from one preparation, and no gate applied at all
-        prepared, layers, gates = [], [], []
+        # 3 iterations at p=3 from one preparation, and no gate applied at all
+        prepared, circuits, gates = [], [], []
 
-        def counting_mixer(m):
-            mix = transverse_mixer(m)
-            prepared.append(m)
+        def counting_ansatz(circuit, h):
+            evolve = transverse_ansatz(circuit, h)
+            prepared.append(circuit.num_qubits)
 
-            def apply(state, beta):
-                layers.append(beta)
-                return mix(state, beta)
+            def run(state, params):
+                circuits.append(len(params))
+                return evolve(state, params)
 
-            return apply
+            return run
 
         def counting_gate(state, gate):
             gates.append(gate.kind)
             return apply_gate(state, gate)
 
-        monkeypatch.setattr("rotpack.statevector.transverse_mixer", counting_mixer)
+        monkeypatch.setattr("rotpack.statevector.transverse_ansatz", counting_ansatz)
         monkeypatch.setattr("rotpack.statevector.apply_gate", counting_gate)
         config = QaoaConfig(regime=regime, p=3, seed=1, max_iterations=3)
         rec = optimize(random_problem(3, 3, seed=4), config)
         assert rec.iterations_used == 3
         assert prepared == [9]
-        assert len(layers) == 6
+        assert circuits == [6, 6, 6]
         assert gates == []
 
     @pytest.mark.parametrize("regime", ["baseline", "penalty"])
@@ -285,63 +341,54 @@ FIRST_LAYER_PROBLEMS = [
 ]
 
 
-def random_ising(num_spins: int, seed: int) -> IsingHamiltonian:
-    """An Ising Hamiltonian with every coupling, field and the constant drawn."""
-    rng = np.random.default_rng(seed)
-    couplings = np.triu(rng.normal(size=(num_spins, num_spins)), 1)
-    return IsingHamiltonian(couplings, rng.normal(size=num_spins), rng.normal())
-
-
-def energy_table(h: IsingHamiltonian) -> np.ndarray:
-    """Every basis state's energy, from its bits, in index order."""
-    return h.energies_of_bits(all_bitstrings(h.num_spins))
-
-
 class TestTransverseFirstLayer:
     @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4], ids=str)
     @pytest.mark.parametrize(
         "excited", [(), (0,), (2, 5), (1, 3, 4, 6), (3, 3, 6)], ids=str
     )
     def test_matches_gate_by_gate(self, excited, beta):
-        m, gamma = 7, 0.37
-        circuit = Circuit(m, tuple(Gate("x", (q,)) for q in excited))
-        h = random_ising(m, seed=3)
-        energies = energy_table(h)
-        want = run_circuit(circuit)
-        want *= np.exp(-1j * gamma * energies)
-        gate_by_gate_mixer(want, beta)
-        state = np.full(1 << m, np.nan, dtype=complex)
-        layer = transverse_first_layer(circuit, h)
-        assert layer(state, gamma, beta) is state
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
-        # a second fill of the same buffer
-        layer(state, -gamma, -beta)
-        want = run_circuit(circuit)
-        want *= np.exp(1j * gamma * energies)
-        gate_by_gate_mixer(want, -beta)
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+        circuit = Circuit(7, tuple(Gate("x", (q,)) for q in excited))
+        h = random_ising(7, seed=3)
+        assert_fills_like_the_gates(circuit, h, [0.37, beta], [-0.37, -beta - 0.1])
 
     def test_keeps_the_circuit_phase(self):
         circuit = Circuit(2, (Gate("x", (1,)),), phase=0.8)
         h = random_ising(2, seed=4)
-        state = transverse_first_layer(circuit, h)(np.empty(4, complex), 0.3, 0.2)
-        want = run_circuit(circuit)
-        want *= np.exp(-0.3j * energy_table(h))
-        gate_by_gate_mixer(want, 0.2)
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+        for params in ([0.3, 0.2], [0.3, 0.2, -0.5, 0.7]):
+            state = transverse_ansatz(circuit, h)(np.empty(4, complex), params)
+            want = gate_by_gate_ansatz(circuit, h, params)
+            np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="x gates only"):
-            transverse_first_layer(
+            transverse_ansatz(
                 Circuit(2, (Gate("x", (0,)), Gate("rx", (1,), (0.1,)))),
                 random_ising(2, seed=0),
             )
         with pytest.raises(ValueError, match="Hamiltonian of 2 spins"):
-            transverse_first_layer(Circuit(2, ()), random_ising(3, seed=0))
-        layer = transverse_first_layer(Circuit(2, ()), random_ising(2, seed=0))
+            transverse_ansatz(Circuit(2, ()), random_ising(3, seed=0))
+        evolve = transverse_ansatz(Circuit(2, ()), random_ising(2, seed=0))
         for state in (zero_state(1), zero_state(3), zero_state(2).reshape(2, 2)):
-            with pytest.raises(ValueError, match="fills a state of 4 amplitudes"):
-                layer(state, 0.1, 0.2)
+            with pytest.raises(ValueError, match="state of 4 amplitudes"):
+                evolve(state, [0.1, 0.2])
+        with pytest.raises(ValueError, match="expected 2p angles"):
+            evolve(zero_state(2), [0.1, 0.2, 0.3])
+
+    def test_refuses_a_register_past_the_table_limit(self):
+        # 27 qubits: refused while preparing, before any 2^27 buffer exists
+        problem = random_problem(9, 3, seed=1)
+        h = ansatz_hamiltonian(problem, "penalty")
+        circuit = build_initial_state("penalty", problem.blocks)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_TABLE_SIZE}"):
+                transverse_ansatz(circuit, h)
+            with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_TABLE_SIZE}"):
+                cost_phase(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("regime", ["baseline", "penalty"])

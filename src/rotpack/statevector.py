@@ -4,7 +4,7 @@ A dense state is one complex array of length 2^M with qubit 0 as the
 least-significant index bit. Gates act by in-place mixing of paired
 amplitude slices through reshaped views; no 2^M x 2^M matrix is ever
 formed, which keeps the high-twenties qubit range workable.
-The baseline and penalty ansatz is prepared once per trajectory
+The baseline and penalty ansatz is prepared once per ensemble
 (``transverse_ansatz``) and runs in real arithmetic. RX(2 beta) =
 S^dag RY(2 beta) S with S = diag(1, i) and RY real, and the cost layer is
 diagonal, so it commutes with S: the layers run on S|psi>, and the state
@@ -17,7 +17,7 @@ RY(2 beta) to ``MIXER_GROUP`` qubits at once, one real matmul by the
 Kronecker power of RY per group on the state's float64 view, so a layer
 passes over the state a third as often as gate by gate, at half the
 products a complex factor takes. The cost layer is prepared once per
-trajectory too (``cost_phase``): its phases fill a table by doubling over
+ensemble too (``cost_phase``): its phases fill a table by doubling over
 the qubits from the Ising terms, so no energy table over the 2^M basis
 states is formed and no phase is an exp of its own. They match
 exp(-i gamma E) to round-off, and the ansatz's amplitudes match the
@@ -33,7 +33,7 @@ flat order is the sorted order of the basis indices (``one_hot_basis``).
 An ``a`` or ``xy`` gate inside one block mixes two slices along that
 block's axis with the dense path's matrix entries and arithmetic, so the
 amplitudes equal the dense state's on the basis, bit for bit.
-The xy ring mixer is prepared once per trajectory (``one_hot_mixer``):
+The xy ring mixer is prepared once per ensemble (``one_hot_mixer``):
 its gate order and the rows each gate mixes are fixed, and only the
 matrix entries for beta are computed per layer, so the prepared mixer
 keeps the bit-for-bit match.

@@ -1,5 +1,7 @@
 """Shared oracles and strategies for the test suite."""
 
+import os
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -53,3 +55,27 @@ def problems_with_config(draw, **kwargs):
         draw(st.integers(0, n - 1)) for n in problem.rotamer_counts
     )
     return problem, config
+
+
+# Hamiltonians built by this process's driver, once the count is installed
+_hamiltonians = []
+
+
+def optimize_counting_hamiltonians(problem, config, k, *, prepared):
+    """``driver.optimize(problem, config, k, prepared=prepared)`` in a pool
+    worker, with the worker's pid and how many Hamiltonians its driver has
+    built so far. The first call wraps ``driver.ansatz_hamiltonian`` for
+    the rest of the process, so call it only in a worker."""
+    from rotpack import driver
+
+    if not _hamiltonians:
+        original = driver.ansatz_hamiltonian
+
+        def counted(*args, **kwargs):
+            _hamiltonians[0] += 1
+            return original(*args, **kwargs)
+
+        _hamiltonians.append(0)
+        driver.ansatz_hamiltonian = counted
+    record = driver.optimize(problem, config, k, prepared=prepared)
+    return record, os.getpid(), _hamiltonians[0]

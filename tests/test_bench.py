@@ -441,7 +441,9 @@ class TestOrchestrate:
 
         def serial_pool(workers):
             pools.append(workers)
-            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+            # Executor.map's chunksize only batches the calls
+            serial_map = lambda fn, items, chunksize=1: map(fn, items)
+            return contextlib.nullcontext(types.SimpleNamespace(map=serial_map))
 
         monkeypatch.setattr("rotpack.driver._worker_pool", serial_pool)
         plan = load_plan(ROOT / "data" / "sample_plan.json")

@@ -1,12 +1,16 @@
 """The sampling loop: CVaR objective, stop modes, records, ensembles."""
 
 import dataclasses
+import functools
+import gc
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -15,11 +19,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotpack import circuits
+from helpers import optimize_counting_hamiltonians
+from rotpack import circuits, driver
 from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import SaConfig, brute_force, discrete_anneal, dual_anneal
 from rotpack.driver import (
+    CHUNKS_PER_WORKER,
     FirstGroundState,
+    PreparedSimulator,
     QaoaConfig,
     RunRecord,
     aggregate_records,
@@ -30,7 +37,7 @@ from rotpack.driver import (
     run_ensemble,
     write_records_jsonl,
 )
-from rotpack.driver import _BLAS_THREADS, _worker_pool
+from rotpack.driver import _BLAS_THREADS, _run_trajectories, _worker_pool
 from rotpack.mps import MpsState
 from rotpack.problem import decode, load_problem, random_problem
 from rotpack.qubo import build_qubo, qubo_to_ising
@@ -429,6 +436,138 @@ class TestOptimize:
         assert rec.best_bitstring is not None
         bits = tuple(int(c) for c in rec.best_bitstring)
         assert isinstance(decode(bits, problem), tuple)
+
+
+def _without_wall_time(records):
+    return [dataclasses.asdict(r) | {"wall_time": None} for r in records]
+
+
+def _prep_case(regime, backend, stop):
+    problem = random_problem(3, 2, seed=5)
+    ground = brute_force(problem).ground_energy
+    # an unreachable target spends the whole budget, restarting COBYLA
+    target = ground if stop == "hit" else ground - 100.0
+    config = QaoaConfig(
+        regime=regime,
+        p=2,
+        backend=backend,
+        seed=3,
+        stop_mode=FirstGroundState(target),
+        max_iterations=40,
+        shots_per_iteration=16,
+    )
+    return problem, config
+
+
+def _count_preparations(monkeypatch):
+    """Count the driver's calls of what a simulator prepares."""
+    calls = Counter()
+    for name in (
+        "ansatz_hamiltonian",
+        "build_qubo",
+        "build_initial_state",
+        "all_bitstring_energies",
+    ):
+        original = getattr(driver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(driver, name, counted)
+    return calls
+
+
+class TestPreparedSimulator:
+    @pytest.mark.parametrize("stop", ["hit", "unreachable"])
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    @pytest.mark.parametrize("regime", ["baseline", "penalty", "xy"])
+    def test_ensemble_records_equal_lone_trajectories(self, regime, backend, stop):
+        problem, config = _prep_case(regime, backend, stop)
+        shared = run_ensemble(problem, config, 4).results
+        alone = [optimize(problem, config, k) for k in range(4)]
+        assert _without_wall_time(shared) == _without_wall_time(alone)
+        if stop == "unreachable":
+            assert all(r.iterations_used == 40 for r in shared)
+            assert any(r.optimizer_restarts > 0 for r in shared)
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    @pytest.mark.parametrize("regime", ["baseline", "xy"])
+    def test_serial_ensemble_prepares_once(self, regime, backend, monkeypatch):
+        calls = _count_preparations(monkeypatch)
+        problem, config = _prep_case(regime, backend, "unreachable")
+        run_ensemble(problem, config, 5)
+        assert calls["ansatz_hamiltonian"] == 1
+        assert max(calls.values()) == 1
+
+    def test_prepares_inside_the_first_trajectory(self, monkeypatch):
+        calls = _count_preparations(monkeypatch)
+        problem, config = _prep_case("xy", "statevector", "hit")
+        prepared = PreparedSimulator(problem, config)
+        assert calls["ansatz_hamiltonian"] == 0
+        optimize(problem, config, 0, prepared=prepared)
+        optimize(problem, config, 1, prepared=prepared)
+        assert calls["ansatz_hamiltonian"] == 1
+
+    def test_pool_prepares_at_most_once_per_chunk(self):
+        problem, config = _prep_case("penalty", "statevector", "hit")
+        n, workers = 12, 2
+        solve = functools.partial(
+            optimize_counting_hamiltonians,
+            problem,
+            config,
+            prepared=PreparedSimulator(problem, config),
+        )
+        got = _run_trajectories(solve, n, workers=workers, chunks=CHUNKS_PER_WORKER)
+        records = [record for record, _, _ in got]
+        alone = [optimize(problem, config, k) for k in range(n)]
+        assert _without_wall_time(records) == _without_wall_time(alone)
+        built = {}
+        for _, pid, count in got:
+            built[pid] = max(built.get(pid, 0), count)
+        chunk = -(-n // (CHUNKS_PER_WORKER * workers))
+        assert 1 < chunk
+        assert 1 <= sum(built.values()) <= -(-n // chunk)
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    @pytest.mark.parametrize("regime", ["penalty", "xy"])
+    def test_freed_without_the_cycle_collector(self, regime, backend):
+        # a trajectory's simulator and its buffers go when the last
+        # reference does, not at the next collection
+        problem, config = _prep_case(regime, backend, "hit")
+        prepared = PreparedSimulator(problem, config)
+        optimize(problem, config, prepared=prepared)
+        gone = weakref.ref(prepared)
+        gc.disable()
+        try:
+            del prepared
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_refuses_another_problem_or_config(self):
+        problem, config = _prep_case("xy", "statevector", "hit")
+        prepared = PreparedSimulator(problem, config)
+        twin = random_problem(3, 2, seed=5)
+        with pytest.raises(ValueError, match="another problem or config"):
+            optimize(twin, config, prepared=prepared)
+        with pytest.raises(ValueError, match="another problem or config"):
+            optimize(problem, dataclasses.replace(config, seed=4), prepared=prepared)
+        # an equal config built apart is accepted
+        optimize(problem, dataclasses.replace(config), prepared=prepared)
+
+    @pytest.mark.parametrize("backend", ["statevector", "mps"])
+    @pytest.mark.parametrize("regime", ["penalty", "xy"])
+    def test_pickled_simulator_gives_the_same_records(self, regime, backend, monkeypatch):
+        problem, config = _prep_case(regime, backend, "hit")
+        prepared = PreparedSimulator(problem, config)
+        want = [optimize(problem, config, k, prepared=prepared) for k in range(3)]
+        copy = pickle.loads(pickle.dumps(prepared))
+        calls = _count_preparations(monkeypatch)
+        got = [optimize(copy.problem, config, k, prepared=copy) for k in range(3)]
+        assert _without_wall_time(got) == _without_wall_time(want)
+        # the copy carried no prepared pieces: it built its own, once
+        assert calls["ansatz_hamiltonian"] == 1
 
 
 class TestAggregation:

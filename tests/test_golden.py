@@ -10,9 +10,18 @@ and are compared field by field, exactly, with only ``wall_time`` masked:
 - the text of every file ``run_experiment`` writes for the smoke plan, with
   trajectories run serially and, in a second test, in a process pool.
 
+COBYLA's points depend on its implementation, so ``golden_environment.json``
+beside the records names the scipy version and COBYLA implementation they
+were verified against; a mismatch names those and the running ones.
+Print both with
+
+    PYTHONPATH=src python tests/test_golden.py --environment
+
 Regenerate (only when a change is meant to alter results) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also rewrites the environment note.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from rotpack.problem import random_problem
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_records.json"
+ENVIRONMENT = HERE / "golden_environment.json"
 PLAN = HERE.parent / "data" / "sample_plan.json"
 
 REGIMES = ("baseline", "penalty", "xy")
@@ -47,6 +57,47 @@ SEEDS = (0, 1)
 UNREACHABLE = 100.0
 
 _WALL_TIME = re.compile(r'"wall_time": [^,\n}]+')
+
+
+def running_environment() -> dict[str, str]:
+    """The running scipy version and the COBYLA implementation it runs.
+
+    The implementation is read from a short ``minimize(method="COBYLA")``
+    run under a profiler: ``scipy._lib.pyprima`` if that package's code
+    ran, else the compiled code the module ``minimize`` dispatched to
+    calls.
+    """
+    import scipy
+    from scipy.optimize import minimize
+
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.append(frame.f_globals.get("__name__", ""))
+
+    sys.setprofile(profile)
+    try:
+        minimize(lambda x: x @ x, [1.0, 1.0], method="COBYLA", options={"maxiter": 20})
+    finally:
+        sys.setprofile(None)
+    if any(name.startswith("scipy._lib.pyprima") for name in ran):
+        cobyla = "scipy._lib.pyprima"
+    else:
+        caller = [name for name in ran if "cobyla" in name] or ["scipy"]
+        cobyla = f"compiled code called from {caller[-1]}"
+    return {"scipy": scipy.__version__, "cobyla": cobyla}
+
+
+def environments() -> str:
+    """The recorded and the running scipy and COBYLA, on one line."""
+    recorded = json.loads(ENVIRONMENT.read_text())
+    running = running_environment()
+    return (
+        f"golden records verified on scipy {recorded['scipy']} with COBYLA from"
+        f" {recorded['cobyla']}; running scipy {running['scipy']} with COBYLA"
+        f" from {running['cobyla']}"
+    )
 
 
 def _plain(obj) -> dict:
@@ -153,19 +204,19 @@ def test_outputs_match_golden_records(tmp_path):
         t["case"] for t in want["trajectories"]
     ]
     for g, w in zip(got["trajectories"], want["trajectories"]):
-        assert g["record"] == w["record"], g["case"]
-    assert got["aggregates"] == want["aggregates"]
+        assert g["record"] == w["record"], f"{g['case']}; {environments()}"
+    assert got["aggregates"] == want["aggregates"], environments()
     for g, w in zip(got["anneal"], want["anneal"], strict=True):
-        assert g == w, g["case"]
+        assert g == w, f"{g['case']}; {environments()}"
     assert sorted(got["experiment"]) == sorted(want["experiment"])
     for name, text in want["experiment"].items():
-        assert got["experiment"][name] == text, name
+        assert got["experiment"][name] == text, f"{name}; {environments()}"
 
 
 def test_pooled_experiment_matches_golden_records(tmp_path):
     # every cell, annealing and QAOA alike, runs its trajectories in a pool
     want = json.loads(GOLDEN.read_text())["experiment"]
-    assert experiment_files(tmp_path / "tree", workers=2) == want
+    assert experiment_files(tmp_path / "tree", workers=2) == want, environments()
 
 
 def test_golden_grid_covers_restarts_and_outcomes():
@@ -181,7 +232,13 @@ def test_golden_grid_covers_restarts_and_outcomes():
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] == ["--environment"]:
+        print(environments())
+        sys.exit()
     with tempfile.TemporaryDirectory() as tmp:
         data = collect(Path(tmp) / "tree")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    ENVIRONMENT.write_text(
+        json.dumps(running_environment(), indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {GOLDEN} and {ENVIRONMENT}", file=sys.stderr)

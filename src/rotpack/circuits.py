@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -215,6 +215,43 @@ def ring_edge_colors(size: int) -> list[list[tuple[int, int]]]:
     return [edges[0 : size - 2 : 2], edges[1 : size - 1 : 2], [edges[-1]]]
 
 
+def _require_xy_blocks(sizes: Sequence[int]) -> None:
+    if any(n < 2 for n in sizes):
+        raise ValueError("xy regime needs at least 2 rotamers per residue")
+
+
+def ring_mixer(size: int) -> Callable[[float], np.ndarray]:
+    """The xy ring mixer of one block on its weight-one states, prepared once.
+
+    Returns ``unitary(beta)``, the ``size`` x ``size`` matrix of
+    ``build_mixer("xy", [(0, size)], beta)``'s gates, row and column k
+    the state with only the block's qubit k set. The colors of
+    ``ring_edge_colors(size)`` are fixed here. Per call, each color c
+    gives U_c = diag(1 off its edges, cos beta on them) - i sin beta P_c,
+    P_c its symmetric pair matrix: the product of its gates, which are
+    disjoint. The result is the colors' product in their order, so it
+    matches the gates' product to round-off, not bit for bit.
+    """
+    _require_xy_blocks([size])
+    colors = ring_edge_colors(size)
+    pairs = np.zeros((len(colors), size, size))
+    for pair, color in zip(pairs, colors):
+        for a, b in color:
+            pair[a, b] = pair[b, a] = 1.0
+    # per color, the diagonal on its edges' nodes and the one off them
+    on = np.eye(size) * pairs.sum(axis=1)[:, None, :]
+    off = np.eye(size) - on
+
+    def unitary(beta: float) -> np.ndarray:
+        factors = off + math.cos(beta) * on - (1j * math.sin(beta)) * pairs
+        out = factors[0]
+        for factor in factors[1:]:
+            out = factor @ out
+        return out
+
+    return unitary
+
+
 def build_mixer(
     regime: str,
     blocks: Sequence[tuple[int, int]],
@@ -233,8 +270,7 @@ def build_mixer(
     if regime in ("baseline", "penalty"):
         gates = [Gate("rx", (q,), (2.0 * beta,)) for q in range(m)]
         return Circuit(num_qubits=m, gates=tuple(gates))
-    if any(n < 2 for _, n in blocks):
-        raise ValueError("xy regime needs at least 2 rotamers per residue")
+    _require_xy_blocks([n for _, n in blocks])
     colorings = [ring_edge_colors(n) for _, n in blocks]
     max_colors = max(len(c) for c in colorings)
     for color in range(max_colors):

@@ -46,9 +46,9 @@ from .circuits import (
     Gate,
     angle_pairs,
     build_initial_state,
-    build_mixer,
     gate_matrix,
     pair_matrix,
+    ring_mixer,
 )
 from .problem import RotamerProblem
 from .qubo import IsingHamiltonian
@@ -404,8 +404,9 @@ def ansatz_chain(
 
     Returns ``evolve(params)``: ``circuits.assemble_ansatz``'s ansatz under
     ``h`` at the 2p angles, global phase included. ``xy`` keeps one site
-    per residue holding the block's one-hot patterns, mixed by its
-    ``build_mixer`` gates in their order. ``baseline``/``penalty`` split
+    per residue holding the block's one-hot patterns, mixed by its ring
+    as one unitary from ``circuits.ring_mixer``, the helper the one-hot
+    statevector builds its ring from too. ``baseline``/``penalty`` split
     each block evenly into runs of at most ``SITE_QUBITS`` qubits holding
     all their patterns, mixed by RX(2 beta) on each qubit. Each layer
     multiplies in exp(-i * gamma * E), E from ``h`` over the sites' spins
@@ -419,16 +420,10 @@ def ansatz_chain(
         counts = set(problem.rotamer_counts)
         start_of = {n: one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for n in counts}
         starts = [start_of[n] for n in problem.rotamer_counts]
-        rings = {n: build_mixer("xy", [(0, n)], 0.0).gates for n in counts}
+        rings = {n: ring_mixer(n) for n in counts}
 
         def mixers(beta: float) -> list[np.ndarray]:
-            # an xy gate rotates span{|01>, |10>}, the same way for either qubit order
-            rotation = gate_matrix(Gate("xy", (0, 1), (beta,)))[1:3, 1:3]
-            unitaries = {n: np.eye(n, dtype=complex) for n in rings}
-            for n, ring in rings.items():
-                for gate in ring:
-                    rows = list(gate.qubits)
-                    unitaries[n][rows] = rotation @ unitaries[n][rows]
+            unitaries = {n: ring(beta) for n, ring in rings.items()}
             return [unitaries[q.size] for q in sites]
 
     else:

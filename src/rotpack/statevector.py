@@ -33,10 +33,12 @@ flat order is the sorted order of the basis indices (``one_hot_basis``).
 An ``a`` or ``xy`` gate inside one block mixes two slices along that
 block's axis with the dense path's matrix entries and arithmetic, so the
 amplitudes equal the dense state's on the basis, bit for bit.
-The xy ring mixer is prepared once per ensemble (``one_hot_mixer``):
-its gate order and the rows each gate mixes are fixed, and only the
-matrix entries for beta are computed per layer, so the prepared mixer
-keeps the bit-for-bit match.
+The xy ring mixer is prepared once per ensemble (``one_hot_mixer``).
+Gates of different blocks commute, so each block's ring is one n x n
+unitary on its axis, built per layer once per ring size by
+``circuits.ring_mixer``, the helper the MPS chain builds its ring from
+too, and applied with one matmul per block. Its amplitudes match the
+gates' to round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, angle_pairs, build_mixer, gate_matrix, pair_matrix
+from .circuits import Circuit, Gate, angle_pairs, gate_matrix, pair_matrix, ring_mixer
 from .problem import MAX_TABLE_SIZE, RotamerProblem
 from .qubo import IsingHamiltonian
 
@@ -229,20 +231,43 @@ def one_hot_mixer(
     """The xy ring mixer on a one-hot state, prepared once.
 
     Returns ``apply(state, beta)``, which applies the gates of
-    ``build_mixer("xy", blocks, beta)`` in place, in their order and with
-    ``apply_one_hot_gate``'s arithmetic, and returns the state. The gate
-    order and each gate's rows are fixed here; per call, the four matrix
-    entries come from one ``gate_matrix``. An xy matrix is unchanged, bit
-    for bit, when its two qubits swap roles, so one matrix serves every
-    gate whichever qubit is listed first.
+    ``build_mixer("xy", blocks, beta)`` in place and returns the state,
+    a C-contiguous complex128 array of the blocks' shape. Gates of
+    different blocks commute, so each block's ring acts as one n x n
+    unitary on its axis, the matrix ``circuits.ring_mixer`` builds, as on
+    the MPS chain. Each ring size's colors are fixed here; per call, each
+    distinct size's unitary is built once and applied to each of its
+    blocks with one matmul, alternating between the state and a scratch
+    array this closure owns. The amplitudes match the gates' to
+    round-off, not bit for bit.
     """
-    steps = [_block_rows(g, blocks) for g in build_mixer("xy", blocks, 0.0).gates]
+    rings = {n: ring_mixer(n) for n in {n for _, n in blocks}}
+    scratch = np.empty(_one_hot_shape(blocks), dtype=complex)
+    # each block's (before, block, after) view of the tensor, whose axes
+    # run from the last block to the first
+    steps = []
+    for i, (_, n) in enumerate(blocks):
+        before = math.prod(c for _, c in blocks[i + 1 :])
+        after = math.prod(c for _, c in blocks[:i])
+        steps.append((n, (before, n, after)))
 
     def apply(state: np.ndarray, beta: float) -> np.ndarray:
         _check_one_hot_shape(state, blocks)
-        entries = _weight_one_entries(gate_matrix(Gate("xy", (0, 1), (beta,))))
-        for dims, lo, hi in steps:
-            _mix_rows(state.reshape(dims), lo, hi, entries)
+        if not (state.dtype == np.complex128 and state.flags.c_contiguous):
+            raise ValueError("the mixer takes a C-contiguous complex128 state")
+        unitaries = {n: ring(beta) for n, ring in rings.items()}
+        src, dst = state, scratch
+        for n, dims in steps:
+            if dims[2] == 1:
+                # the first block's axis is the last: one product of rows,
+                # not a matrix-vector product per row
+                rows = dims[:2]
+                np.matmul(src.reshape(rows), unitaries[n].T, out=dst.reshape(rows))
+            else:
+                np.matmul(unitaries[n], src.reshape(dims), out=dst.reshape(dims))
+            src, dst = dst, src
+        if len(steps) % 2:
+            np.copyto(state, scratch)
         return state
 
     return apply

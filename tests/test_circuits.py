@@ -20,6 +20,7 @@ from rotpack.circuits import (
     build_mixer,
     gate_matrix,
     ring_edge_colors,
+    ring_mixer,
 )
 from rotpack.depth import schedule
 from rotpack.problem import random_problem
@@ -331,6 +332,25 @@ class TestRingColors:
         for color in colors:
             touched = [v for e in color for v in e]
             assert len(touched) == len(set(touched))
+
+    @pytest.mark.parametrize("beta", [-2.3, 0.0, 0.4, 1.7, 4.0], ids=str)
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_ring_mixer_is_the_product_of_the_gates(self, size, beta):
+        # the single edge, even rings of two colors and odd rings of three
+        unitary = ring_mixer(size)(beta)
+        assert unitary.shape == (size, size)
+        np.testing.assert_allclose(
+            unitary.conj().T @ unitary, np.eye(size), rtol=0, atol=1e-14
+        )
+        # column k: the gates on the dense state with only qubit k set,
+        # read on the weight-one states
+        weight_one = 1 << np.arange(size)
+        gates = build_mixer("xy", [(0, size)], beta)
+        for k in range(size):
+            column = run_circuit(gates, initial=np.eye(1 << size)[1 << k])
+            np.testing.assert_allclose(
+                unitary[:, k], column[weight_one], rtol=0, atol=1e-14
+            )
 
 
 class TestMixer:

@@ -5,12 +5,15 @@ Pinned fixed-budget trajectories: every ``RunRecord`` field but
 100 below the ground energy, so each trajectory spends its whole budget
 (the 4x3 one restarts its optimizer once).
 
-The one-hot evolution is compared exactly (``np.array_equal``) with a
-dense reference: ``run_circuit`` of the state preparation, then per layer
-the full energy table's phase and the mixer gate by gate with
-``apply_gate``. The prepared mixer (``one_hot_mixer``) is compared exactly
-with ``build_mixer``'s gates applied one by one with
-``apply_one_hot_gate``, and a trajectory is checked to prepare it once.
+The one-hot gates (``apply_one_hot_gate``) are compared exactly
+(``np.array_equal``) with a dense reference: ``run_circuit`` of the state
+preparation, then per layer the full energy table's phase and the mixer
+gate by gate with ``apply_gate``. The prepared mixer (``one_hot_mixer``)
+applies each block's ring as one unitary, the one the MPS chain applies
+too (``circuits.ring_mixer``), so its amplitudes, and the driver's, are
+compared with the gates' to round-off: within ``ROUND_OFF`` on unit-norm
+states. A trajectory is checked to prepare each ring size once and to
+build its unitary once per layer.
 """
 
 import dataclasses
@@ -27,7 +30,8 @@ from rotpack.circuits import (
     ansatz_hamiltonian,
     build_initial_state,
     build_mixer,
-    gate_matrix,
+    ring_edge_colors,
+    ring_mixer,
 )
 from rotpack.driver import FirstGroundState, QaoaConfig, init_params, optimize
 from rotpack.problem import MAX_TABLE_SIZE, decode, random_problem
@@ -37,6 +41,11 @@ from rotpack.qubo import all_bitstring_energies
 SHAPES = [(2, 2), (3, 3), (4, 4), (6, 3), (3, (2, 4, 3)), (2, (5, 6)), (4, (2, 3, 2, 4))]
 
 SEED = 9220990823635741239  # trajectory_seed(5, 1)
+
+# the most an amplitude of a unit-norm state through the prepared mixer,
+# which sums each block's ring products in another order, may differ from
+# the gates'
+ROUND_OFF = 1e-14
 
 PINNED = [
     (
@@ -125,9 +134,13 @@ def dense_reference(problem, params):
     return state
 
 
-def assert_matches_dense(one_hot, dense, blocks):
+def assert_matches_dense(one_hot, dense, blocks, atol=0.0):
+    """Equal on the basis, exactly unless ``atol`` is given, and zero off it."""
     basis = sv.one_hot_basis(blocks)
-    assert np.array_equal(one_hot.ravel(), dense[basis])
+    if atol:
+        np.testing.assert_allclose(one_hot.ravel(), dense[basis], rtol=0, atol=atol)
+    else:
+        assert np.array_equal(one_hot.ravel(), dense[basis])
     outside = np.ones(dense.size, dtype=bool)
     outside[basis] = False
     assert not dense[outside].any()
@@ -151,7 +164,9 @@ def test_driver_evolution_matches_dense(shape, monkeypatch):
     x0 = init_params(3, generator(trajectory_seed(2, 4)))
     (state,) = sampled
     assert state.shape == problem.rotamer_counts[::-1]
-    assert_matches_dense(state, dense_reference(problem, x0), problem.blocks)
+    assert_matches_dense(
+        state, dense_reference(problem, x0), problem.blocks, atol=ROUND_OFF
+    )
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -181,16 +196,17 @@ def test_prepared_mixer_matches_gate_by_gate(shape, beta):
     dims = tuple(n for _, n in reversed(blocks))
     rng = np.random.default_rng(23)
     state = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    state /= np.linalg.norm(state)
     want = state.copy()
     for g in build_mixer("xy", blocks, beta).gates:
         sv.apply_one_hot_gate(want, g, blocks)
     mix = sv.one_hot_mixer(blocks)
     assert mix(state, beta) is state
-    assert np.array_equal(state, want)
+    np.testing.assert_allclose(state, want, rtol=0, atol=ROUND_OFF)
     # a second layer on the same preparation
     for g in build_mixer("xy", blocks, -beta).gates:
         sv.apply_one_hot_gate(want, g, blocks)
-    assert np.array_equal(mix(state, -beta), want)
+    np.testing.assert_allclose(mix(state, -beta), want, rtol=0, atol=ROUND_OFF)
 
 
 def test_prepared_mixer_refuses_what_the_gates_refuse():
@@ -206,29 +222,45 @@ def test_prepared_mixer_refuses_what_the_gates_refuse():
     assert str(refused.value) == str(built.value)
 
 
+def test_prepared_mixer_refuses_a_state_it_cannot_mix_in_place():
+    # a reshape of these copies, so a product written into it would leave
+    # the state unmixed
+    blocks = [(0, 3), (3, 2)]
+    mix = sv.one_hot_mixer(blocks)
+    wide = np.ones((2, 6), dtype=complex)
+    for state in (wide[:, ::2], np.ones((2, 3), dtype=np.complex64), np.ones((2, 3))):
+        before = state.copy()
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            mix(state, 0.3)
+        assert np.array_equal(state, before)
+
+
 def test_trajectory_prepares_its_mixer_once(monkeypatch):
-    # 3 iterations at p=3: 9 mixer layers from one set of gates, and one
-    # xy matrix per layer rather than one per gate
-    builds, xy_matrices = [], []
+    # 3 iterations at p=3: 9 mixer layers, rings of 3 and 4 qubits on two
+    # blocks each. Each size's colors are found once, and its unitary is
+    # built once per layer, not per gate or per block
+    colorings, builds = [], []
 
-    def counting_build(*args):
-        builds.append(args)
-        return build_mixer(*args)
+    def counting_colors(size):
+        colorings.append(size)
+        return ring_edge_colors(size)
 
-    def counting_matrix(gate):
-        if gate.kind == "xy":
-            xy_matrices.append(gate)
-        return gate_matrix(gate)
+    def counting_ring(size):
+        unitary = ring_mixer(size)
 
-    for module in ("rotpack.driver", "rotpack.statevector"):
-        monkeypatch.setattr(f"{module}.build_mixer", counting_build)
-    for module in ("rotpack.circuits", "rotpack.statevector"):
-        monkeypatch.setattr(f"{module}.gate_matrix", counting_matrix)
+        def counted(beta):
+            builds.append(size)
+            return unitary(beta)
+
+        return counted
+
+    monkeypatch.setattr("rotpack.circuits.ring_edge_colors", counting_colors)
+    monkeypatch.setattr("rotpack.statevector.ring_mixer", counting_ring)
     config = QaoaConfig(regime="xy", p=3, seed=1, max_iterations=3)
-    rec = optimize(random_problem(3, 3, seed=4), config)
+    rec = optimize(random_problem(4, (3, 4, 3, 4), seed=4), config)
     assert rec.iterations_used == 3
-    assert len(builds) == 1
-    assert len(xy_matrices) == 9
+    assert sorted(colorings) == [3, 4]
+    assert sorted(builds) == [3] * 9 + [4] * 9
 
 
 @pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (2, 5), (5, 2), (4, 3), (6, 8)])

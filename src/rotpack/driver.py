@@ -60,20 +60,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._rng import generator, trajectory_seed
-from .circuits import (
-    REGIMES,
-    angle_pairs,
-    ansatz_hamiltonian,
-    assemble_ansatz,  # unused here: perfbench/tracing.py wraps driver.assemble_ansatz
-    build_initial_state,
-    build_mixer,  # unused here: perfbench/tracing.py wraps driver.build_mixer
-)
-# run_circuit_mps is unused here: perfbench/tracing.py wraps driver.run_circuit_mps
-from .mps import MAX_BOND, MpsState, ansatz_chain, run_circuit_mps
+from .circuits import REGIMES, angle_pairs, ansatz_hamiltonian
+from .mps import MAX_BOND, MpsState, ansatz_chain
 from .optimizers import OPTIMIZER_METHODS, make_optimizer
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
 from . import statevector as sv
+
+# Unused here: imported only because perfbench/tracing.py's TARGETS wraps
+# them on this module (ROADMAP item 12).
+from .circuits import assemble_ansatz, build_initial_state, build_mixer
+from .mps import run_circuit_mps
 
 __all__ = [
     "FirstGroundState",
@@ -341,12 +338,11 @@ class PreparedSimulator:
 
             self._sample = sample_chain
             return
-        # the cost layer is diagonal and the mixer's gates are fixed: both
-        # are prepared once, and only the angles change per layer
-        init_circuit = build_initial_state(regime, problem.blocks)
+        # the start, the cost layer and the mixer are prepared once from
+        # the blocks and the Hamiltonian; only the angles change per layer
         if regime == "xy":
             # every block stays at weight one: keep only those amplitudes
-            state0 = sv.one_hot_state(init_circuit, problem.blocks)
+            state0 = sv.one_hot_state(problem.blocks)
             basis = sv.one_hot_basis(problem.blocks)
             phase_profile = all_bitstring_energies(self.h_opt, basis).reshape(
                 state0.shape
@@ -366,7 +362,7 @@ class PreparedSimulator:
         else:
             basis = None
             evolve = functools.partial(
-                sv.transverse_ansatz(init_circuit, self.h_opt),
+                sv.transverse_ansatz(problem.blocks, self.h_opt),
                 np.empty(1 << m, dtype=complex),
             )
 

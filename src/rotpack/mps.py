@@ -45,7 +45,6 @@ from .circuits import (
     Circuit,
     Gate,
     angle_pairs,
-    build_initial_state,
     gate_matrix,
     pair_matrix,
     ring_mixer,
@@ -320,10 +319,14 @@ class MpsState:
         Each qubit, in qubit order, draws one uniform per shot and is 1
         where the draw reaches the probability that it is 0 given the
         qubits already drawn: any grouping of one state into sites gives
-        the samples of a chain of qubit sites, up to round-off.
+        the samples of a chain of qubit sites, up to round-off. A state that
+        is zero or holds a NaN or inf is refused.
         """
         if shots < 1:
             raise ValueError("need at least one shot")
+        # checked before the center moves: a QR would spread a NaN or inf
+        if not all(np.isfinite(t).all() for t in self.tensors):
+            raise ValueError("cannot sample a state with a non-finite entry")
         self.move_center(0)
         nrm = np.linalg.norm(self.tensors[0])
         if nrm == 0.0:
@@ -418,7 +421,7 @@ def ansatz_chain(
         sites = [np.arange(off, off + n) for off, n in problem.blocks]
         patterns = [np.eye(q.size, dtype=np.uint8) for q in sites]
         counts = set(problem.rotamer_counts)
-        start_of = {n: one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)]) for n in counts}
+        start_of = {n: one_hot_state([(0, n)]) for n in counts}
         starts = [start_of[n] for n in problem.rotamer_counts]
         rings = {n: ring_mixer(n) for n in counts}
 

@@ -30,9 +30,9 @@ preparation and ring mixer keep each block at weight one, so the dense
 state is exactly zero elsewhere. The amplitudes form a tensor of C-order
 shape ``rotamer_counts[::-1]`` (the last block's axis first), so that its
 flat order is the sorted order of the basis indices (``one_hot_basis``).
-An ``a`` or ``xy`` gate inside one block mixes two slices along that
-block's axis with the dense path's matrix entries and arithmetic, so the
-amplitudes equal the dense state's on the basis, bit for bit.
+The xy start (``one_hot_state``) is built on the tensor from the blocks,
+step by step with the arithmetic of ``build_initial_state``'s gates, so it
+equals the dense start on the basis bit for bit.
 The xy ring mixer is prepared once per ensemble (``one_hot_mixer``).
 Gates of different blocks commute, so each block's ring is one n x n
 unitary on its axis, built per layer once per ring size by
@@ -60,7 +60,6 @@ __all__ = [
     "run_circuit",
     "one_hot_basis",
     "one_hot_state",
-    "apply_one_hot_gate",
     "one_hot_mixer",
     "cost_phase",
     "transverse_ansatz",
@@ -167,64 +166,6 @@ def one_hot_basis(blocks: Sequence[tuple[int, int]]) -> np.ndarray:
     return functools.reduce(np.add.outer, bits).ravel()
 
 
-def _block_rows(
-    gate: Gate, blocks: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int, int], int, int]:
-    """Where a two-qubit gate acts on a one-hot state: the (before, block,
-    after) reshape that puts its block's axis in the middle, and the rows
-    of its lower and higher qubit on that axis."""
-    lo, hi = sorted(gate.qubits)
-    for i, (off, n) in enumerate(blocks):
-        if off <= lo and hi < off + n:
-            break
-    else:
-        raise ValueError(f"gate {gate} does not act inside one block")
-    # the tensor's axes run from the last block to the first
-    before = math.prod(c for _, c in blocks[i + 1 :])
-    after = math.prod(c for _, c in blocks[:i])
-    return (before, n, after), lo - off, hi - off
-
-
-def _weight_one_entries(matrix: np.ndarray) -> tuple[np.complex128, ...]:
-    """Entries (1, 1), (1, 2), (2, 1), (2, 2) of a 4x4 pair matrix: its
-    rows and columns for |01> and |10>, the states of weight one."""
-    return tuple(matrix[1:3, 1:3].ravel())
-
-
-def _mix_rows(
-    view: np.ndarray, lo: int, hi: int, entries: tuple[np.complex128, ...]
-) -> None:
-    """Mix rows ``lo`` and ``hi`` of a (before, block, after) view in place
-    by the weight-one entries of a pair matrix whose higher qubit is ``hi``.
-
-    The 0 * v0 term the dense path adds is an exact zero here: v0 is the
-    block's empty state.
-    """
-    m11, m12, m21, m22 = entries
-    v1 = view[:, lo, :].copy()
-    v2 = view[:, hi, :].copy()
-    view[:, lo, :] = m11 * v1 + m12 * v2
-    view[:, hi, :] = m21 * v1 + m22 * v2
-
-
-def _check_one_hot_shape(state: np.ndarray, blocks: Sequence[tuple[int, int]]) -> None:
-    if state.shape != tuple(n for _, n in reversed(blocks)):
-        raise ValueError("state shape does not match the blocks")
-
-
-def apply_one_hot_gate(
-    state: np.ndarray, gate: Gate, blocks: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Apply an ``a`` or ``xy`` gate inside one block in place; return the state."""
-    if gate.kind not in ("a", "xy"):
-        raise ValueError(f"a one-hot state takes a and xy gates, not {gate.kind}")
-    _check_one_hot_shape(state, blocks)
-    dims, lo, hi = _block_rows(gate, blocks)
-    matrix = pair_matrix(gate, max(gate.qubits))
-    _mix_rows(state.reshape(dims), lo, hi, _weight_one_entries(matrix))
-    return state
-
-
 def one_hot_mixer(
     blocks: Sequence[tuple[int, int]],
 ) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -252,7 +193,8 @@ def one_hot_mixer(
         steps.append((n, (before, n, after)))
 
     def apply(state: np.ndarray, beta: float) -> np.ndarray:
-        _check_one_hot_shape(state, blocks)
+        if state.shape != scratch.shape:
+            raise ValueError("state shape does not match the blocks")
         if not (state.dtype == np.complex128 and state.flags.c_contiguous):
             raise ValueError("the mixer takes a C-contiguous complex128 state")
         unitaries = {n: ring(beta) for n, ring in rings.items()}
@@ -271,14 +213,6 @@ def one_hot_mixer(
         return state
 
     return apply
-
-
-def _opening_x(circuit: Circuit) -> list[int]:
-    """Qubits of the ``x`` gates a circuit opens with: the qubits its
-    starting configuration sets."""
-    return [
-        g.qubits[0] for g in itertools.takewhile(lambda g: g.kind == "x", circuit.gates)
-    ]
 
 
 def cost_phase(h: IsingHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -331,17 +265,18 @@ def cost_phase(h: IsingHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]
 
 
 def transverse_ansatz(
-    circuit: Circuit, h: IsingHamiltonian
+    blocks: Sequence[tuple[int, int]], h: IsingHamiltonian
 ) -> Callable[[np.ndarray, Sequence[float]], np.ndarray]:
     """The baseline and penalty QAOA ansatz on a dense state, prepared once.
 
-    ``circuit`` holds only ``x`` gates (``build_initial_state`` for the
-    baseline and penalty regimes), so it prepares one basis state |b>;
-    ``h`` is the cost Hamiltonian. Returns ``evolve(state, params)``,
-    which fills ``state`` in place with the ansatz at the 2p angles
-    (gamma_1, beta_1, ..., gamma_p, beta_p), each layer the cost layer
-    exp(-i gamma H) and then RX(2 beta) on every qubit, applied to |b>,
-    and returns it. ``state`` must be a C-contiguous complex128 array of
+    ``blocks`` are the residues' (offset, size) in register order. The
+    ansatz starts from the basis state |b> of rotamer 0 of every residue,
+    each block's first qubit set, as ``build_initial_state`` does for the
+    baseline and penalty regimes; ``h`` is the cost Hamiltonian. Returns
+    ``evolve(state, params)``, which fills ``state`` in place with the
+    ansatz at the 2p angles (gamma_1, beta_1, ..., gamma_p, beta_p), each
+    layer the cost layer exp(-i gamma H) and then RX(2 beta) on every
+    qubit, applied to |b>, and returns it. ``state`` must be a C-contiguous complex128 array of
     2^M amplitudes. A register of more than ``MAX_TABLE_SIZE`` amplitudes
     is refused here, before anything is allocated.
 
@@ -364,16 +299,11 @@ def transverse_ansatz(
     sum two at a time, so the result equals the gates' to round-off, not
     bit for bit.
     """
-    m = circuit.num_qubits
-    excited = _opening_x(circuit)
-    if len(excited) != len(circuit.gates):
-        raise ValueError("the ansatz starts from a circuit of x gates only")
+    m = max(o + n for o, n in blocks)
     if h.num_spins != m:
         raise ValueError(f"the ansatz takes a Hamiltonian of {m} spins")
-    start = 0
-    for q in excited:
-        start ^= 1 << q
-    bits = [(start >> q) & 1 for q in range(m)]
+    firsts = {off for off, _ in blocks}
+    bits = [int(q in firsts) for q in range(m)]
     energy = float(h.energies_of_bits(np.array(bits))[0])
     # refuses a register past MAX_TABLE_SIZE before anything of its size exists
     cost = cost_phase(h)
@@ -426,7 +356,7 @@ def transverse_ansatz(
         rx = gate_matrix(Gate("rx", (0,), (2.0 * beta,)))
         # a one-layer circuit never enters the frame
         frame = 1j if rest else 1.0
-        state[0] = np.exp(1j * (circuit.phase - gamma * energy))
+        state[0] = np.exp(-1j * gamma * energy)
         for q, b in enumerate(bits):
             n = 1 << q
             # amplitudes with qubit q set, then those with it clear
@@ -448,29 +378,28 @@ def transverse_ansatz(
     return evolve
 
 
-def one_hot_state(circuit: Circuit, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Run a circuit from |0...0> as a one-hot state.
+def one_hot_state(blocks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The xy ansatz's start, ``build_initial_state("xy", blocks)``, as a
+    one-hot state.
 
-    The circuit opens with ``x`` gates that set one qubit of every block,
-    the starting configuration; every later gate is an ``a`` or ``xy``
-    gate inside one block.
+    Every block starts at rotamer 0, and cascade step k moves part of row
+    k into row k + 1 of each block with more than k + 1 rotamers, in the
+    gates' order: row k + 1 takes sin(pi/4) times row k, and row k keeps
+    cos(pi/4) of itself. Row k + 1 is empty before the step, so that is
+    the arithmetic of the step's A(pi/4, 0) gate, and the amplitudes equal
+    the gates' bit for bit.
     """
     shape = _one_hot_shape(blocks)
-    if circuit.num_qubits != max(o + n for o, n in blocks):
-        raise ValueError("circuit width does not match the blocks")
-    excited = _opening_x(circuit)
-    start = []
-    for off, n in blocks:
-        hits = [q - off for q in excited if off <= q < off + n]
-        if len(hits) != 1:
-            raise ValueError("x gates must set exactly one qubit of every block")
-        start.append(hits[0])
     state = np.zeros(shape, dtype=complex)
-    state[tuple(reversed(start))] = 1.0
-    for gate in circuit.gates[len(excited) :]:
-        apply_one_hot_gate(state, gate, blocks)
-    if circuit.phase != 0.0:
-        state *= np.exp(1j * circuit.phase)
+    state[(0,) * len(shape)] = 1.0
+    c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
+    # each block's rows first; the tensor's axes run from the last block
+    rows = [np.moveaxis(state, -1 - i, 0) for i in range(len(blocks))]
+    for k in range(max(shape) - 1):
+        for view in rows:
+            if k + 1 < len(view):
+                view[k + 1] = s * view[k]
+                view[k] *= c
     return state
 
 

@@ -386,35 +386,29 @@ class TestOptimize:
     @pytest.mark.parametrize("backend", ["statevector", "mps"])
     @pytest.mark.parametrize("regime", ["baseline", "penalty", "xy"])
     def test_circuits_are_built_once_per_trajectory(self, regime, backend, monkeypatch):
-        # what does not depend on the angles is prepared before the first
-        # iteration, so more iterations build no more circuits
-        calls = Counter()
-        for name in ("assemble_ansatz", "build_mixer", "build_initial_state"):
-            original = getattr(circuits, name)
+        # every route is prepared from the problem's blocks and Hamiltonian
+        # and runs on them: a trajectory constructs no circuit at all, in its
+        # preparation or in any iteration
+        built = []
+        post_init = circuits.Circuit.__post_init__
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(circuit):
+            built.append(circuit)
+            post_init(circuit)
 
-            for module in list(sys.modules.values()):
-                if getattr(module, "__name__", "").startswith("rotpack") and (
-                    getattr(module, name, None) is original
-                ):
-                    monkeypatch.setattr(module, name, counted)
-
-        def per_trajectory(iterations):
-            calls.clear()
-            cfg = QaoaConfig(
-                regime=regime,
-                backend=backend,
-                shots_per_iteration=20,
-                max_iterations=iterations,
-                seed=4,
-            )
-            assert optimize(random_problem(3, 3, seed=2), cfg).iterations_used == iterations
-            return dict(calls)
-
-        assert per_trajectory(2) == per_trajectory(5)
+        monkeypatch.setattr(circuits.Circuit, "__post_init__", counted)
+        cfg = QaoaConfig(
+            regime=regime,
+            backend=backend,
+            shots_per_iteration=20,
+            max_iterations=5,
+            seed=4,
+        )
+        assert optimize(random_problem(3, 3, seed=2), cfg).iterations_used == 5
+        assert built == []
+        # the count sees a circuit when one is built
+        circuits.build_initial_state(regime, [(0, 3)])
+        assert len(built) == 1
 
     def test_statevector_runs_leave_mps_fields_empty(self):
         problem = random_problem(1, 2, seed=0)
@@ -465,7 +459,6 @@ def _count_preparations(monkeypatch):
     for name in (
         "ansatz_hamiltonian",
         "build_qubo",
-        "build_initial_state",
         "all_bitstring_energies",
     ):
         original = getattr(driver, name)

@@ -14,7 +14,6 @@ from rotpack.circuits import (
     ansatz_hamiltonian,
     assemble_ansatz,
     build_initial_state,
-    build_mixer,
 )
 from rotpack.driver import init_params
 from rotpack.mps import (
@@ -28,8 +27,8 @@ from rotpack.mps import (
 from rotpack.problem import encode, random_problem, valid_mask
 from rotpack.qubo import all_bitstring_energies, default_penalty
 from rotpack.statevector import (
-    apply_one_hot_gate,
     one_hot_basis,
+    one_hot_mixer,
     one_hot_state,
     run_circuit,
     sample_state,
@@ -218,34 +217,17 @@ def amplitudes_at(state: MpsState, basis: np.ndarray) -> np.ndarray:
 
 
 def one_hot_reference(problem, gamma: float, beta: float, p: int) -> np.ndarray:
-    """The layer-tied xy ansatz as a one-hot tensor."""
+    """The layer-tied xy ansatz as a one-hot tensor, by the statevector
+    backend's one-hot route: its start, energy profile and prepared mixer."""
     blocks = problem.blocks
     h = ansatz_hamiltonian(problem, "xy")
-    state = one_hot_state(build_initial_state("xy", blocks), blocks)
+    state = one_hot_state(blocks)
     phase = all_bitstring_energies(h, one_hot_basis(blocks)).reshape(state.shape)
+    mix = one_hot_mixer(blocks)
     for _ in range(p):
         state *= np.exp(-1j * gamma * phase)
-        for g in build_mixer("xy", blocks, beta).gates:
-            apply_one_hot_gate(state, g, blocks)
+        mix(state, beta)
     return state.ravel()
-
-
-class TestOneHotOracle:
-    # criterion 7's instances and layer-tied angles, p=2, default bond cap;
-    # 5x7 is 35 qubits, so the MPS is read only on the one-hot basis
-    @pytest.mark.parametrize(
-        "rotamers, gamma, beta",
-        [(3, -0.5485, 0.5362), (5, -0.6175, 0.3649), (7, -0.9459, 0.9606)],
-    )
-    def test_xy_matches_one_hot_state(self, rotamers, gamma, beta):
-        problem = random_problem(5, rotamers, seed=200 + rotamers)
-        circ = ansatz_circuit(problem, "xy", [gamma, beta, gamma, beta])
-        state = run_circuit_mps(circ)
-        got = amplitudes_at(state, one_hot_basis(problem.blocks))
-        want = one_hot_reference(problem, gamma, beta, 2)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-        assert state.discarded_weight == 0.0
-        assert state.max_bond_reached < MAX_BOND
 
 
 # criterion 7's layer-tied angles, by rotamer count
@@ -256,6 +238,24 @@ CRITERION_7_ANGLES = {
     6: (-0.9018, 0.8198),
     7: (-0.9459, 0.9606),
 }
+
+
+class TestOneHotOracle:
+    # criterion 7's instances and layer-tied angles, p=2, default bond cap;
+    # 5x7 is 35 qubits, so the MPS is read only on the one-hot basis
+    @pytest.mark.parametrize(
+        "rotamers, gamma, beta",
+        [(n, *CRITERION_7_ANGLES[n]) for n in sorted(CRITERION_7_ANGLES)],
+    )
+    def test_xy_matches_one_hot_state(self, rotamers, gamma, beta):
+        problem = random_problem(5, rotamers, seed=200 + rotamers)
+        circ = ansatz_circuit(problem, "xy", [gamma, beta, gamma, beta])
+        state = run_circuit_mps(circ)
+        got = amplitudes_at(state, one_hot_basis(problem.blocks))
+        want = one_hot_reference(problem, gamma, beta, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert state.discarded_weight == 0.0
+        assert state.max_bond_reached < MAX_BOND
 
 
 def residue_chain(problem, params, max_bond: int | None = MAX_BOND) -> MpsState:
@@ -374,9 +374,9 @@ class TestResidueChain:
         problem = random_problem(5, (3, 2, 3, 4, 2), seed=9)
         built, chains = [], []
 
-        def counting_start(circuit, blocks):
+        def counting_start(blocks):
             built.append(blocks)
-            return one_hot_state(circuit, blocks)
+            return one_hot_state(blocks)
 
         class RecordingState(MpsState):
             def __init__(self, sites, **kwargs):
@@ -389,12 +389,14 @@ class TestResidueChain:
         evolve = ansatz_chain(problem, ansatz_hamiltonian(problem, "xy"), "xy")
         first, second = evolve(params), evolve(params)
         assert sorted(built) == [[(0, 2)], [(0, 3)], [(0, 4)]]
-        # each site starts in its residue's own one-hot start, bit for bit
+        # each site starts in its residue's own start, its gates' amplitudes
+        # on the one-hot basis, bit for bit
         for starts in chains:
             for start, n in zip(starts, problem.rotamer_counts):
-                want = one_hot_state(build_initial_state("xy", [(0, n)]), [(0, n)])
+                dense = run_circuit(build_initial_state("xy", [(0, n)]))
+                want = dense[one_hot_basis([(0, n)])]
                 assert start.dtype == want.dtype and start.tobytes() == want.tobytes()
-        # and the shared starts come through a circuit unchanged
+        # and an evolution leaves the shared starts unchanged
         for a, b in zip(first.tensors, second.tensors):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -578,6 +580,16 @@ class TestSampling:
         state.scale(0.0)
         with pytest.raises(ValueError, match="zero state"):
             state.sample(3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "sites",
+        [[[np.nan, 1.0], [1.0, 0.0]], [[1.0, 0.0], [np.inf, 1.0]]],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_state_rejected(self, sites):
+        # on the center's site or past it
+        with pytest.raises(ValueError, match="non-finite"):
+            MpsState(sites).sample(4, np.random.default_rng(0))
 
     def test_deterministic_for_seed(self):
         circ = entangling_fixture()

@@ -5,15 +5,16 @@ Pinned fixed-budget trajectories: every ``RunRecord`` field but
 100 below the ground energy, so each trajectory spends its whole budget
 (the 4x3 one restarts its optimizer once).
 
-The one-hot gates (``apply_one_hot_gate``) are compared exactly
-(``np.array_equal``) with a dense reference: ``run_circuit`` of the state
-preparation, then per layer the full energy table's phase and the mixer
-gate by gate with ``apply_gate``. The prepared mixer (``one_hot_mixer``)
-applies each block's ring as one unitary, the one the MPS chain applies
-too (``circuits.ring_mixer``), so its amplitudes, and the driver's, are
-compared with the gates' to round-off: within ``ROUND_OFF`` on unit-norm
-states. A trajectory is checked to prepare each ring size once and to
-build its unitary once per layer.
+The start (``one_hot_state``), built from the blocks, and a cost layer
+from the energy profile are compared exactly (``np.array_equal``) with a
+dense reference, ``run_circuit`` of the state preparation's gates and the
+full energy table's phase, and so are their samples. The prepared mixer
+(``one_hot_mixer``) applies each block's ring as one unitary, the one the
+MPS chain applies too (``circuits.ring_mixer``), so its amplitudes, and
+the driver's, are compared with the gates' (``apply_gate`` on the dense
+state) to round-off: within ``ROUND_OFF`` on unit-norm states. A
+trajectory is checked to prepare each ring size once and to build its
+unitary once per layer.
 """
 
 import dataclasses
@@ -25,8 +26,6 @@ import rotpack.statevector as sv
 from rotpack._rng import generator, trajectory_seed
 from rotpack.baselines import brute_force
 from rotpack.circuits import (
-    Circuit,
-    Gate,
     ansatz_hamiltonian,
     build_initial_state,
     build_mixer,
@@ -171,18 +170,19 @@ def test_driver_evolution_matches_dense(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_gates_phase_and_samples_match_dense(shape):
+    # the start from the blocks against its gates, then a cost layer
     problem = random_problem(*shape, seed=5)
     blocks = problem.blocks
-    params = np.random.default_rng(3).uniform(-2.0, 2.0, size=4)
+    gamma = np.random.default_rng(3).uniform(-2.0, 2.0)
     h = ansatz_hamiltonian(problem, "xy")
     basis = sv.one_hot_basis(blocks)
-    state = sv.one_hot_state(build_initial_state("xy", blocks), blocks)
-    phase = all_bitstring_energies(h, basis).reshape(state.shape)
-    for gamma, beta in zip(params[0::2], params[1::2]):
-        state *= np.exp(-1j * gamma * phase)
-        for g in build_mixer("xy", blocks, beta).gates:
-            sv.apply_one_hot_gate(state, g, blocks)
-    dense = dense_reference(problem, params)
+    state = sv.one_hot_state(blocks)
+    assert state.shape == problem.rotamer_counts[::-1]
+    assert state.dtype == np.complex128 and state.flags.c_contiguous
+    dense = sv.run_circuit(build_initial_state("xy", blocks))
+    assert_matches_dense(state, dense, blocks)
+    state *= np.exp(-1j * gamma * all_bitstring_energies(h, basis).reshape(state.shape))
+    dense *= np.exp(-1j * gamma * all_bitstring_energies(h, np.arange(dense.size)))
     assert_matches_dense(state, dense, blocks)
     got = sv.sample_state(state, 300, np.random.default_rng(8), basis)
     want = sv.sample_state(dense, 300, np.random.default_rng(8))
@@ -197,16 +197,15 @@ def test_prepared_mixer_matches_gate_by_gate(shape, beta):
     rng = np.random.default_rng(23)
     state = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     state /= np.linalg.norm(state)
-    want = state.copy()
-    for g in build_mixer("xy", blocks, beta).gates:
-        sv.apply_one_hot_gate(want, g, blocks)
+    # the same state on all 2^M amplitudes, mixed by the gates
+    dense = np.zeros(1 << max(o + n for o, n in blocks), dtype=complex)
+    dense[sv.one_hot_basis(blocks)] = state.ravel()
     mix = sv.one_hot_mixer(blocks)
-    assert mix(state, beta) is state
-    np.testing.assert_allclose(state, want, rtol=0, atol=ROUND_OFF)
-    # a second layer on the same preparation
-    for g in build_mixer("xy", blocks, -beta).gates:
-        sv.apply_one_hot_gate(want, g, blocks)
-    np.testing.assert_allclose(mix(state, -beta), want, rtol=0, atol=ROUND_OFF)
+    for layer in (beta, -beta):  # a second layer on the same preparation
+        for g in build_mixer("xy", blocks, layer).gates:
+            sv.apply_gate(dense, g)
+        assert mix(state, layer) is state
+        assert_matches_dense(state, dense, blocks, atol=ROUND_OFF)
 
 
 def test_prepared_mixer_refuses_what_the_gates_refuse():
@@ -263,20 +262,6 @@ def test_trajectory_prepares_its_mixer_once(monkeypatch):
     assert sorted(builds) == [3] * 9 + [4] * 9
 
 
-@pytest.mark.parametrize("qubits", [(0, 1), (1, 0), (2, 5), (5, 2), (4, 3), (6, 8)])
-@pytest.mark.parametrize("kind, params", [("a", (0.7, 0.4)), ("xy", (1.1,))])
-def test_any_gate_inside_a_block_matches_dense(kind, params, qubits):
-    # either listing order, adjacent or not, on a state with no symmetry
-    blocks = [(0, 2), (2, 4), (6, 3)]
-    rng = np.random.default_rng(17)
-    state = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
-    dense = np.zeros(1 << 9, dtype=complex)
-    dense[sv.one_hot_basis(blocks)] = state.ravel()
-    gate = Gate(kind, qubits, params)
-    sv.apply_one_hot_gate(state, gate, blocks)
-    assert_matches_dense(state, sv.apply_gate(dense, gate), blocks)
-
-
 def test_basis_is_sorted_and_one_hot():
     blocks = random_problem(3, (2, 4, 3), seed=0).blocks
     basis = sv.one_hot_basis(blocks)
@@ -287,40 +272,6 @@ def test_basis_is_sorted_and_one_hot():
         assert np.all(weight == 1)
 
 
-def test_x_gates_pick_the_starting_configuration():
-    blocks = [(0, 3), (3, 2)]
-    circuit = Circuit(5, (Gate("x", (4,)), Gate("x", (2,))))
-    state = sv.one_hot_state(circuit, blocks)
-    bits = sv.sample_state(state, 4, np.random.default_rng(0), sv.one_hot_basis(blocks))
-    assert np.array_equal(bits, np.tile([0, 0, 1, 0, 1], (4, 1)))
-
-
-@pytest.mark.parametrize(
-    "gates",
-    [
-        (Gate("rz", (0,), (0.3,)),),
-        (Gate("rx", (1,), (0.3,)),),
-        (Gate("rzz", (0, 1), (0.3,)),),
-        (Gate("cx", (0, 1)),),
-        (Gate("xy", (2, 3), (0.3,)),),  # spans the two blocks
-        (Gate("a", (1, 0), (0.3, 0.0)), Gate("x", (1,))),  # x after the prefix
-    ],
-    ids=["rz", "rx", "rzz", "cx", "two-blocks", "late-x"],
-)
-def test_gates_that_leave_the_subspace_are_rejected(gates):
-    blocks = [(0, 3), (3, 2)]
-    circuit = Circuit(5, (Gate("x", (0,)), Gate("x", (3,))) + gates)
-    with pytest.raises(ValueError):
-        sv.one_hot_state(circuit, blocks)
-
-
-@pytest.mark.parametrize("xs", [(0,), (0, 1, 3), (0, 3, 3)])
-def test_prep_must_set_one_qubit_per_block(xs):
-    circuit = Circuit(5, tuple(Gate("x", (q,)) for q in xs))
-    with pytest.raises(ValueError, match="one qubit of every block"):
-        sv.one_hot_state(circuit, [(0, 3), (3, 2)])
-
-
 def test_basis_cap_is_checked_before_allocating():
     huge = [(7 * k, 7) for k in range(30)]  # 7^30 amplitudes: no allocation
     just_over = [(2 * k, 2) for k in range(27)]
@@ -329,7 +280,7 @@ def test_basis_cap_is_checked_before_allocating():
         with pytest.raises(ValueError, match="exceeds"):
             sv.one_hot_basis(blocks)
         with pytest.raises(ValueError, match="exceeds"):
-            sv.one_hot_state(build_initial_state("xy", blocks), blocks)
+            sv.one_hot_state(blocks)
     with pytest.raises(ValueError, match="exceeds"):
         optimize(random_problem(27, 2, seed=0), QaoaConfig(regime="xy"))
     # 2^24 configurations, but on 64 qubits: indices would overflow int64

@@ -8,6 +8,13 @@ angles. Cost is counted in circuits executed: iterations times shots per
 iteration, with the final iteration always charged in full because batches
 execute whole.
 
+The iteration is the objective of ``scipy.optimize.minimize``, called in
+the trajectory's own thread (``optimizers.run_minimize``). It raises a
+private exception out of ``minimize`` on a hit, and when it is called once
+the budget is spent. When the optimizer terminates on its own with budget
+left and a target set, ``minimize`` runs again from the best angles so far
+with the budget that is left: an optimizer restart.
+
 Each backend simulates the smallest state the regime reaches, prepared
 once so that an iteration computes only what its angles change. A
 ``PreparedSimulator`` holds that preparation: the Hamiltonian, the QUBO,
@@ -62,7 +69,7 @@ import numpy as np
 from ._rng import generator, trajectory_seed
 from .circuits import REGIMES, angle_pairs, ansatz_hamiltonian
 from .mps import MAX_BOND, MpsState, ansatz_chain
-from .optimizers import OPTIMIZER_METHODS, make_optimizer
+from .optimizers import OPTIMIZER_METHODS, run_minimize
 from .problem import RotamerProblem, bits_to_string, valid_mask
 from .qubo import IsingHamiltonian, all_bitstring_energies, build_qubo
 from . import statevector as sv
@@ -71,6 +78,7 @@ from . import statevector as sv
 # them on this module (ROADMAP item 12).
 from .circuits import assemble_ansatz, build_initial_state, build_mixer
 from .mps import run_circuit_mps
+from .optimizers import make_optimizer
 
 __all__ = [
     "FirstGroundState",
@@ -381,6 +389,11 @@ class PreparedSimulator:
         return self._sample(params, rng)
 
 
+class _Stop(Exception):
+    """Raised by a trajectory's objective to end ``minimize``: a hit, or an
+    evaluation asked for once the budget is spent."""
+
+
 def optimize(
     problem: RotamerProblem,
     config: QaoaConfig,
@@ -389,6 +402,13 @@ def optimize(
     prepared: PreparedSimulator | None = None,
 ) -> RunRecord:
     """Run one seeded trajectory and return its record.
+
+    The trajectory ends on a hit (``converged=True``), at the budget
+    (``converged=False``), or when the optimizer terminates on its own:
+    with no target that is convergence; with one, it restarts from the
+    best angles, unless the round evaluated nothing, which ends the
+    trajectory unconverged. An exception from the simulator or from
+    ``minimize`` propagates.
 
     ``prepared`` is a :class:`PreparedSimulator` for this problem object
     and an equal config, shared by the trajectories of an ensemble; without
@@ -412,10 +432,6 @@ def optimize(
     )
 
     x0 = init_params(config.p, rng, config.gamma_range, config.beta_range)
-    optimizer = make_optimizer(config.optimizer, x0, budget)
-    restarts = 0
-    asks_this_round = 0
-
     iterations = 0
     best_cvar = math.inf
     best_params = x0
@@ -423,56 +439,56 @@ def optimize(
     best_energy: float | None = None
     best_bits: str | None = None
     first_hit: tuple[int, int] | None = None
-    converged = False
     max_bond_seen: int | None = None
     worst_discard: float | None = None
 
+    def objective(params: np.ndarray) -> float:
+        """One iteration at ``params``: its CVaR, or _Stop on a hit or once
+        the budget is spent."""
+        nonlocal iterations, best_cvar, best_params, last_cvar, best_energy
+        nonlocal best_bits, first_hit, max_bond_seen, worst_discard
+        if iterations == budget:
+            raise _Stop
+        iterations += 1
+        bits, mstate = prepared.sample(params, rng)
+        if mstate is not None:
+            max_bond_seen = max(max_bond_seen or 0, mstate.max_bond_reached)
+            worst_discard = max(worst_discard or 0.0, mstate.discarded_weight)
+
+        energies = prepared.bare_qubo.energies(bits)
+        valid = valid_mask(bits, problem)
+        if valid.any():
+            local = np.flatnonzero(valid)
+            best_local = local[np.argmin(energies[local])]
+            if best_energy is None or energies[best_local] < best_energy:
+                best_energy = float(energies[best_local])
+                best_bits = bits_to_string(bits[best_local])
+        hits = valid & (energies <= threshold)
+        if hits.any():
+            first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
+            raise _Stop
+
+        value = cvar(bits, prepared.h_opt, config.cvar_alpha)
+        last_cvar = value
+        if value < best_cvar:
+            best_cvar = value
+            # keep a copy: the array is scipy's
+            best_params = np.array(params, copy=True)
+        return value
+
+    restarts = 0
     try:
-        while iterations < budget:
-            params = optimizer.ask()
-            if params is None:
-                if config.stop_mode is None:
-                    converged = True
-                    break
-                if asks_this_round == 0:
-                    # the restarted optimizer gave up without proposing anything
-                    break
-                optimizer = make_optimizer(
-                    config.optimizer, best_params, budget - iterations
-                )
-                restarts += 1
-                asks_this_round = 0
-                continue
-            asks_this_round += 1
-            iterations += 1
-            bits, mstate = prepared.sample(params, rng)
-            if mstate is not None:
-                max_bond_seen = max(max_bond_seen or 0, mstate.max_bond_reached)
-                worst_discard = max(worst_discard or 0.0, mstate.discarded_weight)
-
-            energies = prepared.bare_qubo.energies(bits)
-            valid = valid_mask(bits, problem)
-            if valid.any():
-                local = np.flatnonzero(valid)
-                best_local = local[np.argmin(energies[local])]
-                if best_energy is None or energies[best_local] < best_energy:
-                    best_energy = float(energies[best_local])
-                    best_bits = bits_to_string(bits[best_local])
-            hits = valid & (energies <= threshold)
-            if hits.any():
-                first_hit = (iterations, int(np.flatnonzero(hits)[0]) + 1)
-                converged = True
+        while True:
+            before = iterations
+            run_minimize(objective, config.optimizer, best_params, budget - iterations)
+            # the optimizer terminated on its own: restart, unless the budget
+            # is spent, there is no target, or the round evaluated nothing
+            if iterations in (budget, before) or config.stop_mode is None:
                 break
-
-            value = cvar(bits, prepared.h_opt, config.cvar_alpha)
-            last_cvar = value
-            if value < best_cvar:
-                best_cvar = value
-                best_params = np.array(params, copy=True)
-            optimizer.tell(value)
-    finally:
-        # also on an exception, so the optimizer's worker thread never strands
-        optimizer.close()
+            restarts += 1
+        converged = iterations < budget and config.stop_mode is None
+    except _Stop:
+        converged = first_hit is not None
 
     return RunRecord(
         trajectory_id=trajectory_id,

@@ -1,33 +1,72 @@
-"""Gradient-free optimizers behind an ask/tell contract.
+"""Scipy's gradient-free minimizers, by the names a ``QaoaConfig`` gives them.
 
-The driver owns the evaluation loop (it needs to simulate, sample, scan for
-ground-state hits, and account shots between proposals), so optimizers are
-inverted: ``ask()`` yields the next parameter vector, ``tell(value)``
-returns its objective value, and ``ask()`` returns None once the underlying
-method has terminated.
+``OPTIMIZER_METHODS`` names the methods, and one table maps each to
+scipy's name and options for a cap on evaluations. ``run_minimize`` calls
+``scipy.optimize.minimize`` with them. The driver runs a trajectory that
+way: the trajectory is the objective, and it raises to stop ``minimize``
+early (a ground-state hit, or the budget spent).
 
-Scipy's COBYLA and Nelder-Mead run in a worker thread with the objective
-relaying points and values over a pair of one-slot queues. ``close`` lets a
-caller abandon an optimization early (ground state found): it sends a stop
-signal in place of a value, the objective raises a private exception out of
-``minimize`` at its next call, and the worker ends without storing an error.
-Scipy never sees a value the caller did not compute, and stopping does not
-depend on how a method behaves afterwards. Any other exception raised inside
-``minimize`` ends the worker too; ``ask()`` re-raises it in the caller's
-thread, once, and behaves as terminated afterwards.
+``ScipyAskTell`` is the same call inverted to ask/tell: ``minimize`` runs
+in a worker thread and relays points and values over a pair of one-slot
+queues. ``ask()`` yields the next point, ``tell(value)`` answers it, and
+``ask()`` returns None once the method has terminated. ``close`` stops it
+early: the objective raises a private exception out of ``minimize`` at its
+next call. Any other exception raised inside ``minimize`` ends the worker
+too; ``ask()`` re-raises it in the caller's thread, once. Nothing in the
+package runs it now. The tests read its asks as the reference for the
+points ``run_minimize`` evaluates, and the benchmark's tracer wraps its
+methods and ``driver.make_optimizer`` by name, so it stays until the
+benchmark stops naming them.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-__all__ = ["ScipyAskTell", "OPTIMIZER_METHODS", "make_optimizer"]
+__all__ = ["ScipyAskTell", "OPTIMIZER_METHODS", "make_optimizer", "run_minimize"]
 
-OPTIMIZER_METHODS = ("cobyla", "nelder-mead")
+# scipy's name for each method, and its options for n parameters and a cap
+# of max_evals evaluations
+_SCIPY_METHODS = {
+    # below n + 2 scipy warns and substitutes n + 2 itself; passing it
+    # directly keeps the same points without the warning
+    "cobyla": ("COBYLA", lambda n, max_evals: {"maxiter": max(max_evals, n + 2)}),
+    "nelder-mead": (
+        "Nelder-Mead",
+        lambda n, max_evals: {"maxiter": max_evals, "maxfev": max_evals},
+    ),
+}
+
+OPTIMIZER_METHODS = tuple(_SCIPY_METHODS)
+
+
+def _scipy_method(method: str, n: int, max_evals: int) -> tuple[str, dict]:
+    """Scipy's name and options for ``method`` (matched in any case)."""
+    try:
+        name, options = _SCIPY_METHODS[method.lower()]
+    except KeyError:
+        raise ValueError(f"unknown optimizer {method!r}") from None
+    return name, options(n, max_evals)
+
+
+def run_minimize(
+    objective: Callable[[np.ndarray], float],
+    method: str,
+    x0: np.ndarray,
+    max_evals: int,
+) -> None:
+    """Minimize ``objective`` from ``x0`` with ``method``, in this thread.
+
+    It returns when the method terminates; an exception the objective
+    raises, to stop early or otherwise, propagates.
+    """
+    name, options = _scipy_method(method, len(x0), max_evals)
+    minimize(objective, np.asarray(x0, dtype=float), method=name, options=options)
 
 
 class _Closed(Exception):
@@ -38,16 +77,7 @@ class ScipyAskTell:
     """One scipy minimize call, inverted to ask/tell. Not thread-safe."""
 
     def __init__(self, method: str, x0: np.ndarray, max_evals: int) -> None:
-        method = method.lower()
-        if method not in OPTIMIZER_METHODS:
-            raise ValueError(f"unknown optimizer {method!r}")
-        scipy_name = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}[method]
-        if scipy_name == "COBYLA":
-            # below n + 2 scipy warns and substitutes n + 2 itself; passing
-            # it directly keeps the same points without the warning
-            options = {"maxiter": max(max_evals, len(x0) + 2)}
-        else:
-            options = {"maxiter": max_evals, "maxfev": max_evals}
+        scipy_name, options = _scipy_method(method, len(x0), max_evals)
         self._ask_q: queue.Queue = queue.Queue(maxsize=1)
         self._tell_q: queue.Queue = queue.Queue(maxsize=1)
         self._done = False

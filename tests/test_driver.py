@@ -167,7 +167,7 @@ class TestConfig:
             QaoaConfig(regime="xy", backend="mps", max_bond=0)
         with pytest.raises(ValueError, match="stop_mode"):
             QaoaConfig(regime="xy", stop_mode=-1.0)
-        # the optimizer name is matched the way ScipyAskTell matches it
+        # the optimizer name is matched in any case, as run_minimize matches it
         assert QaoaConfig(regime="xy", optimizer="Nelder-Mead").optimizer == "Nelder-Mead"
 
     @pytest.mark.parametrize(
@@ -321,6 +321,73 @@ class TestOptimize:
         with pytest.raises(RuntimeError, match="minimize failed"):
             optimize(problem, QaoaConfig(regime="xy", max_iterations=20))
         assert threading.active_count() == before
+
+    def test_trajectory_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a trajectory started a thread")
+
+        problem = random_problem(3, 2, seed=5)
+        target = brute_force(problem).ground_energy
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # COBYLA spends its first round and restarts: the target is unreachable
+        rec = optimize(
+            problem,
+            QaoaConfig(
+                regime="baseline",
+                p=2,
+                seed=0,
+                stop_mode=FirstGroundState(target - 100.0),
+                max_iterations=40,
+                shots_per_iteration=16,
+            ),
+        )
+        assert rec.optimizer_restarts == 1
+        assert rec.iterations_used == 40
+        rec = optimize(
+            problem,
+            QaoaConfig(
+                regime="xy",
+                optimizer="nelder-mead",
+                seed=0,
+                stop_mode=FirstGroundState(target),
+                max_iterations=60,
+            ),
+        )
+        assert rec.iterations_used >= 1
+
+    @pytest.mark.parametrize(
+        "evaluated, budget, target, iterations, converged, restarts",
+        [
+            (5, 5, "unreachable", 5, False, 0),
+            (5, 12, "unreachable", 12, False, 2),
+            (0, 10, "unreachable", 0, False, 0),
+            (0, 10, None, 0, True, 0),
+            (3, 10, None, 3, True, 0),
+        ],
+    )
+    def test_optimizer_return_boundaries(
+        self, monkeypatch, evaluated, budget, target, iterations, converged, restarts
+    ):
+        # a minimize that evaluates ``evaluated`` points and then returns
+        def fake_minimize(fun, x0, **kwargs):
+            for k in range(evaluated):
+                fun(x0 + 0.01 * k)
+
+        problem = random_problem(2, 2, seed=1)
+        stop = None
+        if target is not None:
+            stop = FirstGroundState(brute_force(problem).ground_energy - 100.0)
+        monkeypatch.setattr("rotpack.optimizers.minimize", fake_minimize)
+        rec = optimize(
+            problem,
+            QaoaConfig(regime="xy", seed=0, max_iterations=budget, stop_mode=stop),
+        )
+        assert (rec.iterations_used, rec.converged, rec.optimizer_restarts) == (
+            iterations,
+            converged,
+            restarts,
+        )
+        assert rec.first_hit_iteration is None
 
     def test_trajectories_reproduce(self):
         problem = random_problem(2, 2, seed=1)

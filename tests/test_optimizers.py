@@ -1,4 +1,4 @@
-"""Ask/tell inversion of scipy's gradient-free minimizers."""
+"""Scipy's gradient-free minimizers: the direct call and its ask/tell inversion."""
 
 import threading
 
@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from rotpack import optimizers
-from rotpack.optimizers import OPTIMIZER_METHODS, ScipyAskTell, make_optimizer
+from rotpack.optimizers import (
+    OPTIMIZER_METHODS,
+    ScipyAskTell,
+    make_optimizer,
+    run_minimize,
+)
 
 
 def drive(opt, objective, budget=10000):
@@ -35,6 +40,8 @@ class TestScipyAskTell:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
             ScipyAskTell("bfgs", np.zeros(2), 10)
+        with pytest.raises(ValueError, match="unknown optimizer 'bfgs'"):
+            run_minimize(lambda x: 0.0, "bfgs", np.zeros(2), 10)
 
     @pytest.mark.parametrize("method", OPTIMIZER_METHODS)
     def test_minimizes_quadratic(self, method):
@@ -191,3 +198,30 @@ class TestScipyAskTell:
         assert not opt._thread.is_alive()
         assert opt.ask() is None
         opt.close()
+
+
+# four parameters: COBYLA's floor of n + 2 evaluations is 6
+@pytest.mark.parametrize("max_evals", [3, 40])
+@pytest.mark.parametrize("method", OPTIMIZER_METHODS)
+def test_run_minimize_evaluates_the_points_ask_tell_asks(method, max_evals):
+    def toy(x):
+        return float(((x - 0.3) ** 2).sum() + np.sin(3.0 * x[0]))
+
+    x0 = np.array([0.1, -0.2, 0.5, 0.05])
+    asked = []
+    opt = make_optimizer(method, x0, max_evals)
+    while (x := opt.ask()) is not None:
+        asked.append(x)
+        opt.tell(toy(x))
+
+    evaluated = []
+
+    def objective(x):
+        # kept past the call, so copied, as ask() hands out copies
+        evaluated.append(np.array(x, copy=True))
+        return toy(x)
+
+    run_minimize(objective, method, x0, max_evals)
+    assert len(asked) > 0
+    assert [x.tobytes() for x in evaluated] == [x.tobytes() for x in asked]
+

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Settable values: every parameter of every function, constructor and public
 # method named in an ``__all__``, ``self`` and ``cls`` excluded.
-SETTABLE_VALUES = 265
+SETTABLE_VALUES = 269
 
 # the names a package level exports besides its defining module
 FACADE = {

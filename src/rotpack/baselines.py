@@ -9,7 +9,10 @@ evaluations exactly, can stop mid-chain the moment the target energy is
 sampled, and ends with a bit-flip refinement pass. It runs one shape,
 visiting parameter ``VISIT`` and acceptance parameter ``ACCEPT``.
 ``discrete_anneal`` is a plain Metropolis sampler over valid assignments,
-kept as a sanity baseline behind the same interface.
+kept as a sanity baseline behind the same interface. It takes its scalar
+draws from blocks of raw Philox words (``_rng._scalar_draws``), which give
+numpy's own ``integers``/``uniform`` stream bit for bit at a fraction of a
+``Generator`` call's cost.
 
 Evaluation accounting for ``dual_anneal`` is deliberately simple: one eval
 for the initial point, then exactly ``2 * num_qubits`` per completed chain
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._rng import generator, trajectory_seed
+from ._rng import _scalar_draws, generator, trajectory_seed
 from .driver import (
     EnsembleResult,
     _require_integers,
@@ -302,9 +305,13 @@ def discrete_anneal(
     iteration budget, and each iteration spends 2M proposals to match the
     chain length of ``dual_anneal``. Configurations are always valid, so the
     energies are bare.
+
+    The start assignment, residue, rotamer and acceptance draws are
+    ``generator(config.seed)``'s ``integers(n)`` and ``uniform()`` stream,
+    read through ``_rng._scalar_draws`` rather than one numpy call each.
     """
     start = time.perf_counter()
-    rng = generator(config.seed)
+    below, uniform = _scalar_draws(config.seed)
     counts = problem.rotamer_counts
     n_res = problem.num_residues
     m = problem.num_qubits
@@ -316,7 +323,7 @@ def discrete_anneal(
         neighbors[i].append((j, block.tolist()))
         neighbors[j].append((i, block.T.tolist()))
 
-    current = [int(rng.integers(c)) for c in counts]
+    current = [below(c) for c in counts]
     energy = problem.energy(current)
     evaluations = 1
     best_energy = energy
@@ -334,8 +341,8 @@ def discrete_anneal(
             iterations = i + 1
             temperature = config.initial_temperature * cooling**i
             for _ in range(2 * m):
-                res = int(rng.integers(n_res))
-                new_rot = int(rng.integers(counts[res]))
+                res = below(n_res)
+                new_rot = below(counts[res])
                 old_rot = current[res]
                 if new_rot == old_rot:
                     evaluations += 1
@@ -345,9 +352,7 @@ def discrete_anneal(
                     ro = current[other]
                     delta += table[new_rot][ro] - table[old_rot][ro]
                 evaluations += 1
-                if delta <= 0.0 or rng.uniform() < math.exp(
-                    -delta / temperature
-                ):
+                if delta <= 0.0 or uniform() < math.exp(-delta / temperature):
                     current[res] = new_rot
                     energy += delta
                     if energy < best_energy:

@@ -60,7 +60,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -649,7 +649,13 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def write_records_jsonl(records: Iterable, path: str | Path) -> None:
-    """One JSON document per line, one line per record (any dataclass)."""
+    """One JSON document per line, one line per record.
+
+    Records are flat dataclasses (``RunRecord``, ``AnnealResult``): every
+    field holds a JSON scalar, so each is read as it is, with none of
+    ``asdict``'s deep copies.
+    """
     with open(path, "w") as fh:
         for r in records:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+            row = {f.name: getattr(r, f.name) for f in fields(r)}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

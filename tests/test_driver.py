@@ -756,3 +756,18 @@ class TestEnsemble:
         parsed = [json.loads(line) for line in lines]
         assert [r["trajectory_id"] for r in parsed] == [0, 1, 2]
         assert lines[0] == json.dumps(dataclasses.asdict(records[0]), sort_keys=True)
+
+    def test_records_jsonl_bytes_equal_asdict(self, tmp_path):
+        # the shallow field read writes what asdict's deep copy would
+        problem = random_problem(2, 2, seed=0)
+        records = [
+            make_record(first_hit_iteration=None, best_energy=-0.1 / 3),
+            discrete_anneal(problem, SaConfig(max_iterations=3, seed=1)),
+            dual_anneal(problem, SaConfig(max_iterations=2, seed=1)),
+        ]
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(records, path)
+        assert path.read_bytes() == b"".join(
+            (json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n").encode()
+            for r in records
+        )

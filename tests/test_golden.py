@@ -10,10 +10,11 @@ and are compared field by field, exactly, with only ``wall_time`` masked:
 - the text of every file ``run_experiment`` writes for the smoke plan, with
   trajectories run serially and, in a second test, in a process pool.
 
-COBYLA's points depend on its implementation, so ``golden_environment.json``
-beside the records names the scipy version and COBYLA implementation they
-were verified against; a mismatch names those and the running ones.
-Print both with
+COBYLA's points depend on its implementation, and ``discrete_anneal``'s
+records on reproducing numpy's bounded-integer and uniform draws, so
+``golden_environment.json`` beside the records names the numpy and scipy
+versions and the COBYLA implementation they were verified against; a
+mismatch names those and the running ones. Print both with
 
     PYTHONPATH=src python tests/test_golden.py --environment
 
@@ -60,13 +61,15 @@ _WALL_TIME = re.compile(r'"wall_time": [^,\n}]+')
 
 
 def running_environment() -> dict[str, str]:
-    """The running scipy version and the COBYLA implementation it runs.
+    """The running numpy and scipy versions and the COBYLA implementation
+    scipy runs.
 
     The implementation is read from a short ``minimize(method="COBYLA")``
     run under a profiler: ``scipy._lib.pyprima`` if that package's code
     ran, else the compiled code the module ``minimize`` dispatched to
     calls.
     """
+    import numpy
     import scipy
     from scipy.optimize import minimize
 
@@ -86,17 +89,22 @@ def running_environment() -> dict[str, str]:
     else:
         caller = [name for name in ran if "cobyla" in name] or ["scipy"]
         cobyla = f"compiled code called from {caller[-1]}"
-    return {"scipy": scipy.__version__, "cobyla": cobyla}
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__, "cobyla": cobyla}
+
+
+def _describe(environment: dict[str, str]) -> str:
+    return (
+        f"numpy {environment['numpy']}, scipy {environment['scipy']} with"
+        f" COBYLA from {environment['cobyla']}"
+    )
 
 
 def environments() -> str:
-    """The recorded and the running scipy and COBYLA, on one line."""
+    """The recorded and the running numpy, scipy and COBYLA, on one line."""
     recorded = json.loads(ENVIRONMENT.read_text())
-    running = running_environment()
     return (
-        f"golden records verified on scipy {recorded['scipy']} with COBYLA from"
-        f" {recorded['cobyla']}; running scipy {running['scipy']} with COBYLA"
-        f" from {running['cobyla']}"
+        f"golden records verified on {_describe(recorded)};"
+        f" running {_describe(running_environment())}"
     )
 
 
